@@ -272,4 +272,3 @@ func checkLiteral(pass *analysis.Pass, lit *ast.CompositeLit) bool {
 	}
 	return true
 }
-

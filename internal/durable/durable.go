@@ -1,14 +1,21 @@
-// Package durable is the node's disk persistence engine: one
-// write-ahead log per partition, periodically folded into a snapshot
-// file and truncated (compaction). The engine records every data-plane
-// mutation the node acks — value installs, version-watermark raises,
-// drops, reseeds, residency grants and inbound transfer cursors — and
-// recovery replays snapshot + WAL back into exactly the state the last
-// acked append described: the same entry{val,ver} records, the same
-// maxVer watermark, the same residency flag, the same in-flight
-// transfer sessions. PutQuorum's "ack #1 = durable local apply"
-// contract is honest precisely because the ack paths append here
-// before they mutate the in-memory store.
+// Package durable is the node's disk journal: one write-ahead log per
+// partition, periodically folded into a snapshot file and truncated
+// (compaction). The engine records every data-plane mutation the node
+// acks — value installs, version-watermark raises, drops, reseeds,
+// residency grants and inbound transfer cursors — but holds none of the
+// state those records describe: the node's store is the only in-memory
+// owner of partition content. Open replays snapshot + WAL once and
+// hands back exactly the state the last acked append described — the
+// same entry{val,ver} records, the same maxVer watermark, the same
+// residency flag, the same in-flight transfer sessions — keeping no
+// copy, and compaction serialises the state its caller passes in.
+// PutQuorum's "ack #1 = durable local apply" contract is honest
+// precisely because the ack paths append (and sync) here before they
+// mutate the in-memory store.
+//
+// The inbound-session list policy (UpsertSession, RetireSession) lives
+// here once, shared by WAL replay and the live store, so a restart
+// recovers exactly the list the store was tracking.
 //
 // Physical syncing hides behind the Syncer interface, the same
 // pattern as node.Clock: live deployments run OSSync (fsync after
@@ -25,10 +32,10 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -67,7 +74,7 @@ type Options struct {
 	CompactEvery int
 }
 
-// Entry is one recovered key/value record.
+// Entry is one key/value record of a partition's state.
 type Entry struct {
 	Key string
 	Ver uint64
@@ -84,7 +91,8 @@ type Session struct {
 	MarkResident bool
 }
 
-// PartitionState is everything recovery restored for one partition.
+// PartitionState is one partition's durable state: what Open recovered,
+// or what a compaction snapshots.
 type PartitionState struct {
 	Entries  []Entry // ascending key order
 	MaxVer   uint64
@@ -99,48 +107,58 @@ type PartitionStats struct {
 	Compactions int // compactions since open
 }
 
-// maxSessions bounds the persisted inbound-session list per partition;
-// the oldest session is evicted when a newer one needs the slot. It
-// must match the store's runtime bound so recovery restores the same
-// set the shard was tracking.
-const maxSessions = 4
+// Inbound-session list caps: the list keeps the newest maxSessions
+// cursors and the newest maxDone completed ids (the memory that keeps
+// replayed transfer-begins idempotent).
+const (
+	maxSessions = 4
+	maxDone     = 8
+)
 
-// maxDone bounds the completed-session-id memory that keeps replayed
-// transfer-begins idempotent.
-const maxDone = 8
-
-type mirrorEntry struct {
-	ver uint64
-	val []byte
+// UpsertSession replaces the session with s.ID in list, or appends s
+// and evicts the oldest session past the cap. WAL replay and the live
+// store both go through it, so their lists evolve identically.
+func UpsertSession(list []Session, s Session) []Session {
+	for i := range list {
+		if list[i].ID == s.ID {
+			list[i] = s
+			return list
+		}
+	}
+	list = append(list, s)
+	if len(list) > maxSessions {
+		list = list[len(list)-maxSessions:]
+	}
+	return list
 }
 
-// engPart is one partition's engine state: the open WAL handle plus an
-// in-memory mirror of the durable state. The mirror is what recovery
-// produced (and appends keep it current), so compaction can write a
-// snapshot without asking the store — the engine is self-contained and
-// testable standalone. Values are shared with the store by reference
-// and treated as immutable by both sides.
+// RetireSession removes session sid from list and remembers it in done,
+// evicting the oldest completed id past the cap.
+func RetireSession(list []Session, done []uint64, sid uint64) ([]Session, []uint64) {
+	for i := range list {
+		if list[i].ID == sid {
+			list = append(list[:i], list[i+1:]...)
+			break
+		}
+	}
+	done = append(done, sid)
+	if len(done) > maxDone {
+		done = done[len(done)-maxDone:]
+	}
+	return list, done
+}
+
+// engPart is one partition's journal: the open WAL handle and its
+// record and compaction counters. It holds no partition content.
 type engPart struct {
 	mu          sync.Mutex
 	wal         *os.File
 	walRecords  int
 	compactions int
-
-	// holds defers compaction while an outbound transfer session still
-	// needs the frozen state; pending remembers that the threshold
-	// tripped while held.
-	holds   int
-	pending bool
-
-	data     map[string]mirrorEntry
-	maxVer   uint64
-	resident bool
-	sessions []Session
-	done     []uint64
 }
 
-// Engine is the durable storage engine. All methods are safe for
-// concurrent use; different partitions never contend.
+// Engine is the durable journal. All methods are safe for concurrent
+// use; different partitions never contend.
 type Engine struct {
 	opts  Options
 	parts []engPart
@@ -153,16 +171,18 @@ type Engine struct {
 
 // Open creates or recovers an engine over dir: for every partition it
 // loads the snapshot (if any), replays the WAL on top — truncating a
-// torn final record — and keeps the WAL open for appends. Leftover
-// *.tmp files from an interrupted compaction are removed; a snapshot
-// is only ever installed by an atomic rename, so a crash between the
-// rename and the WAL truncation simply replays the whole WAL over the
-// new snapshot, which converges to the same state (every WAL op is a
-// blind last-writer-wins set, so re-applying a suffix that the
-// snapshot already folded in is a no-op).
-func Open(opts Options) (*Engine, error) {
+// torn final record — and keeps the WAL open for appends. The replayed
+// state of partition p comes back as states[p], entries in ascending
+// key order; the engine keeps no copy of it. Leftover *.tmp files from
+// an interrupted compaction are removed; a snapshot is only ever
+// installed by an atomic rename, so a crash between the rename and the
+// WAL truncation simply replays the whole WAL over the new snapshot,
+// which converges to the same state (every WAL op is a blind
+// last-writer-wins set, so re-applying a suffix that the snapshot
+// already folded in is a no-op).
+func Open(opts Options) (*Engine, []PartitionState, error) {
 	if opts.Partitions <= 0 {
-		return nil, fmt.Errorf("durable: partitions must be positive, got %d", opts.Partitions)
+		return nil, nil, fmt.Errorf("durable: partitions must be positive, got %d", opts.Partitions)
 	}
 	if opts.Sync == nil {
 		opts.Sync = NoSync{}
@@ -171,19 +191,22 @@ func Open(opts Options) (*Engine, error) {
 		opts.CompactEvery = 1024
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
+		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
 	e := &Engine{opts: opts, parts: make([]engPart, opts.Partitions)}
 	if err := e.bumpGeneration(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	states := make([]PartitionState, opts.Partitions)
 	for p := range e.parts {
-		if err := e.openPartition(p); err != nil {
+		st, err := e.openPartition(p)
+		if err != nil {
 			e.closeAll()
-			return nil, err
+			return nil, nil, err
 		}
+		states[p] = st
 	}
-	return e, nil
+	return e, states, nil
 }
 
 // bumpGeneration increments and persists the data dir's boot
@@ -249,87 +272,29 @@ func (e *Engine) snapPath(p int) string {
 }
 
 // openPartition recovers one partition: snapshot, then WAL replay.
-func (e *Engine) openPartition(p int) error {
-	ps := &e.parts[p]
-	ps.data = make(map[string]mirrorEntry)
-	// A brand-new partition is resident: the cluster starts empty, so
-	// empty content IS authoritative — the same birth semantics as the
-	// in-memory store.
-	ps.resident = true
-
+func (e *Engine) openPartition(p int) (PartitionState, error) {
+	r := newReplay()
 	// An interrupted compaction can leave a half-written temp snapshot;
 	// it was never installed, so it is garbage.
 	if err := os.Remove(e.snapPath(p) + ".tmp"); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
+		return PartitionState{}, fmt.Errorf("durable: partition %d: %w", p, err)
 	}
-	if err := loadSnapshot(e.snapPath(p), ps); err != nil {
-		return err
+	if err := loadSnapshot(e.snapPath(p), r); err != nil {
+		return PartitionState{}, err
 	}
 	f, err := os.OpenFile(e.walPath(p), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
+		return PartitionState{}, fmt.Errorf("durable: partition %d: %w", p, err)
 	}
-	n, err := replayWAL(f, ps)
+	n, err := replayWAL(f, r)
 	if err != nil {
 		_ = f.Close()
-		return err
+		return PartitionState{}, err
 	}
+	ps := &e.parts[p]
 	ps.walRecords = n
 	ps.wal = f
-	return nil
-}
-
-// Recovered returns partition p's state as recovery (plus any appends
-// since) left it. Entries come back in ascending key order so callers
-// can rebuild deterministically.
-func (e *Engine) Recovered(p int) PartitionState {
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	st := PartitionState{
-		MaxVer:   ps.maxVer,
-		Resident: ps.resident,
-		Sessions: append([]Session(nil), ps.sessions...),
-		Done:     append([]uint64(nil), ps.done...),
-	}
-	keys := make([]string, 0, len(ps.data))
-	for k := range ps.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		m := ps.data[k]
-		st.Entries = append(st.Entries, Entry{Key: k, Ver: m.ver, Val: m.val})
-	}
-	return st
-}
-
-// EntriesAbove returns partition p's records with versions strictly
-// above ver, in ascending key order — the snapshot-above-watermark
-// iteration delta transfers freeze from when the target's digest proves
-// its below-watermark content identical. Today the iteration runs over
-// the recovery mirror; it is the seam where a paged (larger-than-RAM)
-// store would stream from the snapshot+WAL pair instead.
-func (e *Engine) EntriesAbove(p int, ver uint64) []Entry {
-	if p < 0 || p >= len(e.parts) {
-		return nil
-	}
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	keys := make([]string, 0, len(ps.data))
-	for k, m := range ps.data {
-		if m.ver > ver {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		m := ps.data[k]
-		out = append(out, Entry{Key: k, Ver: m.ver, Val: m.val})
-	}
-	return out
+	return r.state(), nil
 }
 
 // Stats returns partition p's WAL and compaction counters.
@@ -358,125 +323,68 @@ func (e *Engine) fail(err error) error {
 	return err
 }
 
+var errClosed = errors.New("durable: engine closed")
+
 func (e *Engine) failed() error {
 	e.emu.Lock()
 	defer e.emu.Unlock()
 	if e.closed {
-		return fmt.Errorf("durable: engine closed")
+		return errClosed
 	}
 	return e.err
 }
 
 // AppendPut records one value install: data[key] = {ver, val} and
-// maxVer = max(maxVer, ver). The engine keeps val by reference and
-// never mutates it; callers must not either.
+// maxVer = max(maxVer, ver).
 func (e *Engine) AppendPut(p int, key string, ver uint64, val []byte) error {
-	rec := appendRecPut(nil, key, ver, val)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.data[key] = mirrorEntry{ver: ver, val: val}
-		if ver > ps.maxVer {
-			ps.maxVer = ver
-		}
-	})
+	return e.append(p, appendRecPut(key, ver, val))
 }
 
 // AppendMaxVer records a version-watermark raise without a value
 // install (the applySync path acking an equal-or-newer replay).
 func (e *Engine) AppendMaxVer(p int, ver uint64) error {
-	rec := appendRecMaxVer(nil, ver)
-	return e.append(p, rec, func(ps *engPart) {
-		if ver > ps.maxVer {
-			ps.maxVer = ver
-		}
-	})
+	return e.append(p, appendRecMaxVer(ver))
 }
 
 // AppendDrop records a partition drop: data cleared, residency
 // revoked, maxVer kept (re-adoption must never re-issue versions).
 // Inbound transfer sessions and the done-list clear too — the chunks a
 // live session merged before the drop are gone, so a recovered cursor
-// resuming past them would complete an authoritative partial copy; the
-// store invalidates its runtime session list the same way.
+// resuming past them would complete an authoritative partial copy.
 func (e *Engine) AppendDrop(p int) error {
-	rec := appendRecOp(nil, opDrop)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = false
-		ps.sessions, ps.done = nil, nil
-	})
+	return e.append(p, appendRecOp(opDrop))
 }
 
 // AppendReset records an authoritative-empty reseed: data cleared,
 // resident, maxVer kept, sessions invalidated (as in AppendDrop).
 func (e *Engine) AppendReset(p int) error {
-	rec := appendRecOp(nil, opReset)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = true
-		ps.sessions, ps.done = nil, nil
-	})
+	return e.append(p, appendRecOp(opReset))
 }
 
 // AppendResident records a residency grant (snapshot merge completed,
 // or an inbound transfer finished with MarkResident).
 func (e *Engine) AppendResident(p int) error {
-	rec := appendRecOp(nil, opResident)
-	return e.append(p, rec, func(ps *engPart) {
-		ps.resident = true
-	})
+	return e.append(p, appendRecOp(opResident))
 }
 
 // AppendCursor records an inbound transfer session's resume cursor —
 // the record that lets a restarted target continue a chunked transfer
 // where it stopped instead of starting over.
 func (e *Engine) AppendCursor(p int, s Session) error {
-	rec := appendRecCursor(nil, s)
-	return e.append(p, rec, func(ps *engPart) {
-		mirrorCursor(ps, s)
-	})
+	return e.append(p, appendRecCursor(s))
 }
 
 // AppendSessionDone records an inbound session's completion; the id is
 // remembered so a replayed transfer-begin after completion stays
 // idempotent across restarts.
 func (e *Engine) AppendSessionDone(p int, sid uint64) error {
-	rec := appendRecDone(nil, sid)
-	return e.append(p, rec, func(ps *engPart) {
-		mirrorDone(ps, sid)
-	})
+	return e.append(p, appendRecDone(sid))
 }
 
-func mirrorCursor(ps *engPart, s Session) {
-	for i := range ps.sessions {
-		if ps.sessions[i].ID == s.ID {
-			ps.sessions[i] = s
-			return
-		}
-	}
-	ps.sessions = append(ps.sessions, s)
-	if len(ps.sessions) > maxSessions {
-		ps.sessions = ps.sessions[len(ps.sessions)-maxSessions:]
-	}
-}
-
-func mirrorDone(ps *engPart, sid uint64) {
-	for i := range ps.sessions {
-		if ps.sessions[i].ID == sid {
-			ps.sessions = append(ps.sessions[:i], ps.sessions[i+1:]...)
-			break
-		}
-	}
-	ps.done = append(ps.done, sid)
-	if len(ps.done) > maxDone {
-		ps.done = ps.done[len(ps.done)-maxDone:]
-	}
-}
-
-// append writes one framed record, syncs it, applies the mirror
-// update, and compacts if the record count tripped the threshold (and
-// no hold defers it). Any IO failure is sticky: the mutation is NOT
-// applied to the mirror and the caller must not ack.
-func (e *Engine) append(p int, rec []byte, apply func(*engPart)) error {
+// append writes one framed record and syncs it. Only a nil return makes
+// the record durable, and only then may the caller apply and ack the
+// mutation. Any IO failure is sticky.
+func (e *Engine) append(p int, rec []byte) error {
 	if err := e.failed(); err != nil {
 		return err
 	}
@@ -490,92 +398,66 @@ func (e *Engine) append(p int, rec []byte, apply func(*engPart)) error {
 		return e.fail(fmt.Errorf("durable: partition %d: wal sync: %w", p, err))
 	}
 	ps.walRecords++
-	apply(ps)
-	if ps.walRecords >= e.opts.CompactEvery {
-		if ps.holds > 0 {
-			ps.pending = true
-		} else if err := e.compactLocked(p, ps); err != nil {
-			return e.fail(err)
-		}
-	}
 	return nil
 }
 
-// Hold defers partition p's compaction: an outbound transfer session
-// froze the partition's state and the WAL+snapshot pair backing it
-// must not be rewritten underneath. Holds nest.
-func (e *Engine) Hold(p int) {
-	ps := &e.parts[p]
-	ps.mu.Lock()
-	ps.holds++
-	ps.mu.Unlock()
-}
-
-// Release undoes one Hold; when the last hold clears and a compaction
-// was deferred meanwhile, it runs now.
-func (e *Engine) Release(p int) {
+// CompactDue reports whether partition p's WAL has reached the
+// CompactEvery threshold. The caller owns the state a compaction
+// snapshots, so the caller decides when to run it: right after applying
+// the record that tripped the threshold, or — while an outbound
+// transfer holds the partition — once the last hold clears.
+func (e *Engine) CompactDue(p int) bool {
 	ps := &e.parts[p]
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if ps.holds > 0 {
-		ps.holds--
-	}
-	// ps.wal is nil once Close ran: a straggling release (e.g. a
-	// transfer pump racing a shutdown) must not run the deferred
-	// compaction against closed files.
-	if ps.holds == 0 && ps.pending && ps.wal != nil {
-		ps.pending = false
-		if err := e.compactLocked(p, ps); err != nil {
-			_ = e.fail(err)
-		}
-	}
+	return ps.walRecords >= e.opts.CompactEvery
 }
 
-// Compact folds partition p's WAL into its snapshot immediately,
-// regardless of the record threshold (holds still defer). Tests and
-// shutdown paths use it; steady-state compaction happens automatically
-// via CompactEvery.
-func (e *Engine) Compact(p int) error {
+// Compact folds partition p's WAL into a snapshot of st: it writes st
+// to a temp snapshot, atomically renames it into place, and truncates
+// the WAL. st must have every appended record applied — the caller
+// holds the lock it appends under, so no record lands between reading
+// st and the truncation — and list its entries in ascending key order.
+// A failure latches Err(). Crash windows: before the rename the temp
+// file is garbage (removed at next open); between rename and truncation
+// recovery replays the full WAL over the new snapshot, which is
+// idempotent (see Open).
+func (e *Engine) Compact(p int, st PartitionState) error {
 	if err := e.failed(); err != nil {
 		return err
 	}
 	ps := &e.parts[p]
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if ps.holds > 0 {
-		ps.pending = true
-		return nil
+	// ps.wal is nil once Close ran: a straggling releaseHold (a transfer
+	// pump racing a shutdown) must not write a snapshot after the crash.
+	if ps.wal == nil {
+		return errClosed
 	}
-	if err := e.compactLocked(p, ps); err != nil {
-		return e.fail(err)
-	}
-	return nil
-}
-
-// compactLocked writes the mirror to a temp snapshot, atomically
-// renames it into place, and truncates the WAL. Crash windows: before
-// the rename the temp file is garbage (removed at next open); between
-// rename and truncation recovery replays the full WAL over the new
-// snapshot, which is idempotent (see Open).
-func (e *Engine) compactLocked(p int, ps *engPart) error {
-	path := e.snapPath(p)
-	if err := writeSnapshot(path, ps, e.opts.Sync); err != nil {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
-	}
-	if err := e.syncDir(); err != nil {
-		return fmt.Errorf("durable: partition %d: %w", p, err)
-	}
-	if err := ps.wal.Truncate(0); err != nil {
-		return fmt.Errorf("durable: partition %d: wal truncate: %w", p, err)
-	}
-	if _, err := ps.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("durable: partition %d: wal seek: %w", p, err)
-	}
-	if err := e.opts.Sync.Sync(ps.wal); err != nil {
-		return fmt.Errorf("durable: partition %d: wal sync: %w", p, err)
+	if err := e.compactLocked(p, ps, st); err != nil {
+		return e.fail(fmt.Errorf("durable: partition %d: %w", p, err))
 	}
 	ps.walRecords = 0
 	ps.compactions++
+	return nil
+}
+
+func (e *Engine) compactLocked(p int, ps *engPart, st PartitionState) error {
+	if err := writeSnapshot(e.snapPath(p), st, e.opts.Sync); err != nil {
+		return err
+	}
+	if err := e.syncDir(); err != nil {
+		return err
+	}
+	if err := ps.wal.Truncate(0); err != nil {
+		return fmt.Errorf("wal truncate: %w", err)
+	}
+	if _, err := ps.wal.Seek(0, 0); err != nil {
+		return fmt.Errorf("wal seek: %w", err)
+	}
+	if err := e.opts.Sync.Sync(ps.wal); err != nil {
+		return fmt.Errorf("wal sync: %w", err)
+	}
 	return nil
 }
 

@@ -1,18 +1,21 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func openTest(t *testing.T, dir string, compactEvery int) *Engine {
+func openTest(t *testing.T, dir string, compactEvery int) (*Engine, []PartitionState) {
 	t.Helper()
-	e, err := Open(Options{Dir: dir, Partitions: 4, CompactEvery: compactEvery})
+	e, states, err := Open(Options{Dir: dir, Partitions: 4, CompactEvery: compactEvery})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	return e
+	return e, states
 }
 
 func mustAppend(t *testing.T, err error) {
@@ -23,9 +26,9 @@ func mustAppend(t *testing.T, err error) {
 }
 
 // expectState compares partition p's recovered state field by field.
-func expectState(t *testing.T, e *Engine, p int, want PartitionState) {
+func expectState(t *testing.T, states []PartitionState, p int, want PartitionState) {
 	t.Helper()
-	got := e.Recovered(p)
+	got := states[p]
 	if got.MaxVer != want.MaxVer {
 		t.Errorf("partition %d: maxVer %d, want %d", p, got.MaxVer, want.MaxVer)
 	}
@@ -65,7 +68,7 @@ func expectState(t *testing.T, e *Engine, p int, want PartitionState) {
 // sessions and completed-session memory exactly.
 func TestRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e := openTest(t, dir, 1024)
+	e, _ := openTest(t, dir, 1024)
 	mustAppend(t, e.AppendPut(0, "a", 5, []byte("va")))
 	mustAppend(t, e.AppendPut(0, "b", 6, []byte("vb")))
 	mustAppend(t, e.AppendPut(0, "a", 9, []byte("va2"))) // overwrite
@@ -79,51 +82,48 @@ func TestRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	e2 := openTest(t, dir, 1024)
+	e2, st := openTest(t, dir, 1024)
 	defer func() {
 		if err := e2.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
 	}()
-	expectState(t, e2, 0, PartitionState{
+	expectState(t, st, 0, PartitionState{
 		Entries: []Entry{{Key: "a", Ver: 9, Val: []byte("va2")}, {Key: "b", Ver: 6, Val: []byte("vb")}},
 		MaxVer:  40, Resident: true,
 	})
-	expectState(t, e2, 1, PartitionState{MaxVer: 0, Resident: false})
-	expectState(t, e2, 2, PartitionState{MaxVer: 3, Resident: true})
-	expectState(t, e2, 3, PartitionState{
+	expectState(t, st, 1, PartitionState{MaxVer: 0, Resident: false})
+	expectState(t, st, 2, PartitionState{MaxVer: 3, Resident: true})
+	expectState(t, st, 3, PartitionState{
 		Resident: true,
 		Sessions: []Session{{ID: 77, Next: 2, Total: 5, MarkResident: true}},
 		Done:     []uint64{42},
 	})
 }
 
-// TestDropClearsSessionState pins the session-invalidation half of
-// drop/reset: the entries an inbound session merged before the drop
-// are gone with the data, so its cursor — and the done-list that
-// answers replayed begins "already complete" — must not survive
-// either, in the live mirror or across recovery replay. A recovered
-// cursor resuming past the drop would complete an authoritative
-// partial copy of the source snapshot.
+// TestDropClearsSessionState pins the replay half of drop/reset's
+// session invalidation: the entries an inbound session merged before
+// the drop are gone with the data, so its cursor — and the done-list
+// that answers replayed begins "already complete" — must not survive
+// recovery either. A recovered cursor resuming past the drop would
+// complete an authoritative partial copy of the source snapshot. (The
+// live half is the store's, in internal/node.)
 func TestDropClearsSessionState(t *testing.T) {
 	dir := t.TempDir()
-	e := openTest(t, dir, 1024)
+	e, _ := openTest(t, dir, 1024)
 	mustAppend(t, e.AppendCursor(0, Session{ID: 7, Next: 2, Total: 5, MarkResident: true}))
 	mustAppend(t, e.AppendSessionDone(0, 9))
 	mustAppend(t, e.AppendDrop(0))
-	expectState(t, e, 0, PartitionState{Resident: false})
 	mustAppend(t, e.AppendCursor(1, Session{ID: 8, Next: 1, Total: 2}))
 	mustAppend(t, e.AppendReset(1))
-	expectState(t, e, 1, PartitionState{Resident: true})
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// WAL replay must reproduce the invalidation, not just the live
-	// mirror: the drop landed after the cursor records, so a restart
-	// must recover no sessions.
-	e2 := openTest(t, dir, 1024)
-	expectState(t, e2, 0, PartitionState{Resident: false})
-	expectState(t, e2, 1, PartitionState{Resident: true})
+	// The drop landed after the cursor records, so a restart must
+	// recover no sessions.
+	e2, st := openTest(t, dir, 1024)
+	expectState(t, st, 0, PartitionState{Resident: false})
+	expectState(t, st, 1, PartitionState{Resident: true})
 	if err := e2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestDropClearsSessionState(t *testing.T) {
 func TestGenerationBumpsPerOpen(t *testing.T) {
 	dir := t.TempDir()
 	for want := uint64(1); want <= 3; want++ {
-		e := openTest(t, dir, 1024)
+		e, _ := openTest(t, dir, 1024)
 		if g := e.Generation(); g != want {
 			t.Fatalf("open #%d: generation = %d, want %d", want, g, want)
 		}
@@ -153,7 +153,7 @@ func TestGenerationBumpsPerOpen(t *testing.T) {
 func TestTornFinalWALRecordReplaysCleanly(t *testing.T) {
 	for _, cut := range []int{1, 4, 9} { // inside header, inside crc, inside payload
 		dir := t.TempDir()
-		e := openTest(t, dir, 1024)
+		e, _ := openTest(t, dir, 1024)
 		mustAppend(t, e.AppendPut(0, "keep", 1, []byte("v1")))
 		mustAppend(t, e.AppendPut(0, "keep", 2, []byte("v2")))
 		if err := e.Close(); err != nil {
@@ -161,7 +161,7 @@ func TestTornFinalWALRecordReplaysCleanly(t *testing.T) {
 		}
 
 		// Manufacture the torn append: a record prefix without its suffix.
-		torn := appendRecPut(nil, "torn", 3, []byte("never-acked"))
+		torn := appendRecPut("torn", 3, []byte("never-acked"))
 		path := filepath.Join(dir, "p0000.wal")
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -174,8 +174,8 @@ func TestTornFinalWALRecordReplaysCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		e2 := openTest(t, dir, 1024)
-		expectState(t, e2, 0, PartitionState{
+		e2, st := openTest(t, dir, 1024)
+		expectState(t, st, 0, PartitionState{
 			Entries: []Entry{{Key: "keep", Ver: 2, Val: []byte("v2")}},
 			MaxVer:  2, Resident: true,
 		})
@@ -185,8 +185,8 @@ func TestTornFinalWALRecordReplaysCleanly(t *testing.T) {
 		if err := e2.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		e3 := openTest(t, dir, 1024)
-		expectState(t, e3, 0, PartitionState{
+		e3, st := openTest(t, dir, 1024)
+		expectState(t, st, 0, PartitionState{
 			Entries: []Entry{{Key: "after", Ver: 4, Val: []byte("v4")}, {Key: "keep", Ver: 2, Val: []byte("v2")}},
 			MaxVer:  4, Resident: true,
 		})
@@ -197,29 +197,34 @@ func TestTornFinalWALRecordReplaysCleanly(t *testing.T) {
 }
 
 // TestCompactionTriggersAndPreservesState drives appends past the
-// CompactEvery threshold and checks the WAL folds into the snapshot
+// CompactEvery threshold, compacting the caller's state whenever the
+// engine reports one due, and checks the WAL folds into the snapshot
 // without changing the recoverable state.
 func TestCompactionTriggersAndPreservesState(t *testing.T) {
 	dir := t.TempDir()
-	e := openTest(t, dir, 4)
+	e, _ := openTest(t, dir, 4)
+	st := PartitionState{Resident: true}
 	for i := 0; i < 10; i++ {
-		mustAppend(t, e.AppendPut(0, "k"+string(rune('a'+i)), uint64(i+1), []byte{byte(i)}))
+		ent := Entry{Key: "k" + string(rune('a'+i)), Ver: uint64(i + 1), Val: []byte{byte(i)}}
+		mustAppend(t, e.AppendPut(0, ent.Key, ent.Ver, ent.Val))
+		st.Entries = append(st.Entries, ent)
+		st.MaxVer = ent.Ver
+		if e.CompactDue(0) {
+			mustAppend(t, e.Compact(0, st))
+		}
 	}
-	st := e.Stats(0)
-	if st.Compactions != 2 {
-		t.Fatalf("compactions = %d, want 2 (10 appends at CompactEvery=4)", st.Compactions)
+	stats := e.Stats(0)
+	if stats.Compactions != 2 {
+		t.Fatalf("compactions = %d, want 2 (10 appends at CompactEvery=4)", stats.Compactions)
 	}
-	if st.WALRecords != 2 {
-		t.Fatalf("wal records = %d, want 2 after last compaction", st.WALRecords)
+	if stats.WALRecords != 2 {
+		t.Fatalf("wal records = %d, want 2 after last compaction", stats.WALRecords)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	e2 := openTest(t, dir, 4)
-	got := e2.Recovered(0)
-	if len(got.Entries) != 10 || got.MaxVer != 10 {
-		t.Fatalf("recovered %d entries maxVer %d, want 10/10", len(got.Entries), got.MaxVer)
-	}
+	e2, rec := openTest(t, dir, 4)
+	expectState(t, rec, 0, st)
 	if err := e2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -234,7 +239,7 @@ func TestCompactionTriggersAndPreservesState(t *testing.T) {
 // transiently resurrects and re-clears records.
 func TestCrashDuringCompactionReplays(t *testing.T) {
 	dir := t.TempDir()
-	e := openTest(t, dir, 1024)
+	e, _ := openTest(t, dir, 1024)
 	mustAppend(t, e.AppendPut(0, "x", 1, []byte("old")))
 	mustAppend(t, e.AppendDrop(0))
 	mustAppend(t, e.AppendPut(0, "y", 7, []byte("new")))
@@ -259,8 +264,8 @@ func TestCrashDuringCompactionReplays(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half-written-snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e2 := openTest(t, dir, 1024)
-	expectState(t, e2, 0, want)
+	e2, st := openTest(t, dir, 1024)
+	expectState(t, st, 0, want)
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("leftover temp snapshot not removed (stat err %v)", err)
 	}
@@ -268,7 +273,7 @@ func TestCrashDuringCompactionReplays(t *testing.T) {
 	// Window 2: snapshot installed, WAL not yet truncated. Compact for
 	// real, then restore the full pre-compaction WAL behind the new
 	// snapshot.
-	if err := e2.Compact(0); err != nil {
+	if err := e2.Compact(0, st[0]); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if err := e2.Close(); err != nil {
@@ -277,40 +282,10 @@ func TestCrashDuringCompactionReplays(t *testing.T) {
 	if err := os.WriteFile(walPath, walBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e3 := openTest(t, dir, 1024)
-	expectState(t, e3, 0, want)
+	e3, st := openTest(t, dir, 1024)
+	expectState(t, st, 0, want)
 	if err := e3.Close(); err != nil {
 		t.Fatalf("close: %v", err)
-	}
-}
-
-// TestHoldDefersCompaction pins the lease contract's engine half: while
-// a hold is out (an outbound transfer froze the partition state), the
-// record threshold must not trigger a compaction; the deferred
-// compaction runs when the last hold releases.
-func TestHoldDefersCompaction(t *testing.T) {
-	dir := t.TempDir()
-	e := openTest(t, dir, 3)
-	defer func() {
-		if err := e.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-	}()
-	e.Hold(0)
-	e.Hold(0) // holds nest
-	for i := 0; i < 6; i++ {
-		mustAppend(t, e.AppendPut(0, "k", uint64(i+1), []byte("v")))
-	}
-	if st := e.Stats(0); st.Compactions != 0 || st.WALRecords != 6 {
-		t.Fatalf("held partition compacted anyway: %+v", st)
-	}
-	e.Release(0)
-	if st := e.Stats(0); st.Compactions != 0 {
-		t.Fatalf("compaction ran with a hold still out: %+v", st)
-	}
-	e.Release(0)
-	if st := e.Stats(0); st.Compactions != 1 || st.WALRecords != 0 {
-		t.Fatalf("deferred compaction did not run on last release: %+v", st)
 	}
 }
 
@@ -319,54 +294,43 @@ func TestHoldDefersCompaction(t *testing.T) {
 // persist.
 func TestAppendAfterCloseRefuses(t *testing.T) {
 	dir := t.TempDir()
-	e := openTest(t, dir, 1024)
+	e, _ := openTest(t, dir, 1024)
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if err := e.AppendPut(0, "k", 1, []byte("v")); err == nil {
 		t.Fatal("append on a closed engine did not error")
 	}
+	if err := e.Compact(0, PartitionState{}); err == nil {
+		t.Fatal("compaction on a closed engine did not error")
+	}
+	if err := e.Err(); err != nil {
+		t.Fatalf("a closed engine latched %v: closing is not a failure", err)
+	}
 }
 
-// TestEntriesAboveFiltersAndSorts pins the delta-transfer fast path:
-// EntriesAbove returns exactly the records with versions strictly
-// above the watermark, sorted by key, and an out-of-range or dropped
-// partition yields nothing.
-func TestEntriesAboveFiltersAndSorts(t *testing.T) {
-	e := openTest(t, t.TempDir(), 1024)
-	defer func() {
-		if err := e.Close(); err != nil {
-			t.Fatalf("close: %v", err)
+// TestRecordFraming pins the WAL bytes: each record is its payload
+// behind a [len u32 LE][crc32 u32 LE] header, with the payload laid out
+// field by field. Recovery of existing data dirs depends on it.
+func TestRecordFraming(t *testing.T) {
+	frame := func(payload ...byte) []byte {
+		hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+		return append(hdr, payload...)
+	}
+	cases := []struct {
+		name      string
+		got, want []byte
+	}{
+		{"put", appendRecPut("ab", 300, []byte("xyz")), frame(opPut, 2, 'a', 'b', 0xac, 0x02, 3, 'x', 'y', 'z')},
+		{"maxver", appendRecMaxVer(5), frame(opMaxVer, 5)},
+		{"drop", appendRecOp(opDrop), frame(opDrop)},
+		{"cursor", appendRecCursor(Session{ID: 9, Next: 2, Total: 4, MarkResident: true}), frame(opCursor, 9, 2, 4, 1)},
+		{"done", appendRecDone(7), frame(opDone, 7)},
+	}
+	for _, c := range cases {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s record = %x, want %x", c.name, c.got, c.want)
 		}
-	}()
-	mustAppend(t, e.AppendPut(0, "c", 3, []byte("vc")))
-	mustAppend(t, e.AppendPut(0, "a", 10, []byte("va")))
-	mustAppend(t, e.AppendPut(0, "b", 7, []byte("vb")))
-	mustAppend(t, e.AppendPut(0, "d", 7, []byte("vd"))) // exactly at the watermark: excluded
-
-	// "b" and "d" sit exactly at the watermark: strictly-above excludes them.
-	got := e.EntriesAbove(0, 7)
-	want := []Entry{{Key: "a", Ver: 10, Val: []byte("va")}}
-	if len(got) != len(want) {
-		t.Fatalf("EntriesAbove(0, 7) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i].Key != want[i].Key || got[i].Ver != want[i].Ver || string(got[i].Val) != string(want[i].Val) {
-			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if all := e.EntriesAbove(0, 0); len(all) != 4 ||
-		all[0].Key != "a" || all[1].Key != "b" || all[2].Key != "c" || all[3].Key != "d" {
-		t.Errorf("EntriesAbove(0, 0) = %v, want all four entries sorted by key", all)
-	}
-	if got := e.EntriesAbove(0, 10); len(got) != 0 {
-		t.Errorf("EntriesAbove(0, 10) = %v, want none (nothing strictly above the max)", got)
-	}
-	mustAppend(t, e.AppendDrop(0))
-	if got := e.EntriesAbove(0, 0); len(got) != 0 {
-		t.Errorf("EntriesAbove after drop = %v, want none", got)
-	}
-	if got := e.EntriesAbove(-1, 0); got != nil {
-		t.Errorf("EntriesAbove(-1, 0) = %v, want nil", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
 )
 
 // Snapshot file format (one file per partition, installed only by an
@@ -24,42 +23,29 @@ import (
 
 var snapMagic = []byte{'R', 'F', 'H', 'S', 1}
 
-// writeSnapshot serialises ps to path via a temp file + rename.
-func writeSnapshot(path string, ps *engPart, sync Syncer) error {
+// writeSnapshot serialises st (entries already in ascending key order)
+// to path via a temp file + rename.
+func writeSnapshot(path string, st PartitionState, sync Syncer) error {
 	buf := append([]byte(nil), snapMagic...)
-	buf = binary.AppendUvarint(buf, ps.maxVer)
-	if ps.resident {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	buf = binary.AppendUvarint(buf, st.MaxVer)
+	buf = appendBool(buf, st.Resident)
+	buf = binary.AppendUvarint(buf, uint64(len(st.Entries)))
+	for _, e := range st.Entries {
+		buf = binary.AppendUvarint(buf, uint64(len(e.Key)))
+		buf = append(buf, e.Key...)
+		buf = binary.AppendUvarint(buf, e.Ver)
+		buf = binary.AppendUvarint(buf, uint64(len(e.Val)))
+		buf = append(buf, e.Val...)
 	}
-	keys := make([]string, 0, len(ps.data))
-	for k := range ps.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		m := ps.data[k]
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, m.ver)
-		buf = binary.AppendUvarint(buf, uint64(len(m.val)))
-		buf = append(buf, m.val...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(ps.sessions)))
-	for _, s := range ps.sessions {
+	buf = binary.AppendUvarint(buf, uint64(len(st.Sessions)))
+	for _, s := range st.Sessions {
 		buf = binary.AppendUvarint(buf, s.ID)
 		buf = binary.AppendUvarint(buf, uint64(s.Next))
 		buf = binary.AppendUvarint(buf, uint64(s.Total))
-		if s.MarkResident {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = appendBool(buf, s.MarkResident)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(ps.done)))
-	for _, sid := range ps.done {
+	buf = binary.AppendUvarint(buf, uint64(len(st.Done)))
+	for _, sid := range st.Done {
 		buf = binary.AppendUvarint(buf, sid)
 	}
 	sum := make([]byte, 4)
@@ -85,11 +71,18 @@ func writeSnapshot(path string, ps *engPart, sync Syncer) error {
 	return os.Rename(tmp, path)
 }
 
-// loadSnapshot restores ps from path; a missing file means "no
-// snapshot yet" and leaves ps at its birth state. A present-but-corrupt
+func appendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// loadSnapshot restores r from path; a missing file means "no
+// snapshot yet" and leaves r at its birth state. A present-but-corrupt
 // snapshot is real corruption (installs are atomic), so it fails
 // loudly rather than silently serving partial state.
-func loadSnapshot(path string, ps *engPart) error {
+func loadSnapshot(path string, st *replay) error {
 	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -110,8 +103,8 @@ func loadSnapshot(path string, ps *engPart) error {
 		}
 	}
 	r := recReader{buf: body[len(snapMagic):]}
-	ps.maxVer = r.uvarint()
-	ps.resident = r.byte() == 1
+	st.MaxVer = r.uvarint()
+	st.Resident = r.byte() == 1
 	n := int(r.uvarint())
 	for i := 0; i < n && r.err == nil; i++ {
 		key := string(r.bytes())
@@ -122,7 +115,7 @@ func loadSnapshot(path string, ps *engPart) error {
 		}
 		v := make([]byte, len(val))
 		copy(v, val)
-		ps.data[key] = mirrorEntry{ver: ver, val: v}
+		st.data[key] = Entry{Key: key, Ver: ver, Val: v}
 	}
 	sn := int(r.uvarint())
 	for i := 0; i < sn && r.err == nil; i++ {
@@ -131,12 +124,12 @@ func loadSnapshot(path string, ps *engPart) error {
 		s.Total = uint32(r.uvarint())
 		s.MarkResident = r.byte() == 1
 		if r.err == nil {
-			ps.sessions = append(ps.sessions, s)
+			st.Sessions = append(st.Sessions, s)
 		}
 	}
 	dn := int(r.uvarint())
 	for i := 0; i < dn && r.err == nil; i++ {
-		ps.done = append(ps.done, r.uvarint())
+		st.Done = append(st.Done, r.uvarint())
 	}
 	if r.err != nil {
 		return fmt.Errorf("durable: snapshot %s malformed: %w", path, r.err)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 )
 
 // WAL record framing: every record is
@@ -41,56 +42,89 @@ const walHeaderLen = 8
 // transport would ever have carried in.
 const maxRecord = 64 << 20
 
-func frameRecord(payload []byte) []byte {
-	rec := make([]byte, walHeaderLen, walHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+// newRecord starts a WAL record in one buffer: the frame header's
+// bytes reserved, then the op byte. size is an upper bound on the
+// fields still to come, so appending them never reallocates.
+func newRecord(op byte, size int) []byte {
+	rec := make([]byte, walHeaderLen, walHeaderLen+1+size)
+	return append(rec, op)
 }
 
-func appendRecPut(dst []byte, key string, ver uint64, val []byte) []byte {
-	p := []byte{opPut}
+// sealRecord patches the frame header over a finished record: the
+// payload's length and checksum.
+func sealRecord(rec []byte) []byte {
+	payload := rec[walHeaderLen:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	return rec
+}
+
+func appendRecPut(key string, ver uint64, val []byte) []byte {
+	p := newRecord(opPut, 3*binary.MaxVarintLen64+len(key)+len(val))
 	p = binary.AppendUvarint(p, uint64(len(key)))
 	p = append(p, key...)
 	p = binary.AppendUvarint(p, ver)
 	p = binary.AppendUvarint(p, uint64(len(val)))
 	p = append(p, val...)
-	return append(dst, frameRecord(p)...)
+	return sealRecord(p)
 }
 
-func appendRecMaxVer(dst []byte, ver uint64) []byte {
-	p := []byte{opMaxVer}
-	p = binary.AppendUvarint(p, ver)
-	return append(dst, frameRecord(p)...)
+func appendRecMaxVer(ver uint64) []byte {
+	return sealRecord(binary.AppendUvarint(newRecord(opMaxVer, binary.MaxVarintLen64), ver))
 }
 
-func appendRecOp(dst []byte, op byte) []byte {
-	return append(dst, frameRecord([]byte{op})...)
+func appendRecOp(op byte) []byte {
+	return sealRecord(newRecord(op, 0))
 }
 
-func appendRecCursor(dst []byte, s Session) []byte {
-	p := []byte{opCursor}
+func appendRecCursor(s Session) []byte {
+	p := newRecord(opCursor, 3*binary.MaxVarintLen64+1)
 	p = binary.AppendUvarint(p, s.ID)
 	p = binary.AppendUvarint(p, uint64(s.Next))
 	p = binary.AppendUvarint(p, uint64(s.Total))
-	mark := byte(0)
-	if s.MarkResident {
-		mark = 1
+	return sealRecord(appendBool(p, s.MarkResident))
+}
+
+func appendRecDone(sid uint64) []byte {
+	return sealRecord(binary.AppendUvarint(newRecord(opDone, binary.MaxVarintLen64), sid))
+}
+
+// replay is one partition's state while recovery folds its snapshot
+// and WAL together. data is the only copy of the partition's content
+// the engine ever holds: state() turns it into the sorted Entries Open
+// hands back, and the replay is dropped after boot.
+type replay struct {
+	PartitionState
+	data map[string]Entry
+}
+
+func newReplay() *replay {
+	// A brand-new partition is resident: the cluster starts empty, so
+	// empty content IS authoritative — the same birth semantics as the
+	// in-memory store.
+	return &replay{PartitionState: PartitionState{Resident: true}, data: make(map[string]Entry)}
+}
+
+// state returns the replayed partition state, entries in ascending key
+// order.
+func (r *replay) state() PartitionState {
+	keys := make([]string, 0, len(r.data))
+	for k := range r.data {
+		keys = append(keys, k)
 	}
-	p = append(p, mark)
-	return append(dst, frameRecord(p)...)
+	sort.Strings(keys)
+	st := r.PartitionState
+	st.Entries = make([]Entry, 0, len(keys))
+	for _, k := range keys {
+		st.Entries = append(st.Entries, r.data[k])
+	}
+	return st
 }
 
-func appendRecDone(dst []byte, sid uint64) []byte {
-	p := []byte{opDone}
-	p = binary.AppendUvarint(p, sid)
-	return append(dst, frameRecord(p)...)
-}
-
-// replayWAL reads f from the start, applies every intact record to ps,
+// replayWAL reads f from the start, applies every intact record to r,
 // truncates any torn tail, and leaves f positioned for appending. It
 // returns the number of records replayed.
-func replayWAL(f *os.File, ps *engPart) (int, error) {
+func replayWAL(f *os.File, r *replay) (int, error) {
 	buf, err := io.ReadAll(f)
 	if err != nil {
 		return 0, fmt.Errorf("durable: wal read: %w", err)
@@ -114,7 +148,7 @@ func replayWAL(f *os.File, ps *engPart) (int, error) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
 			break // torn checksum (partial overwrite)
 		}
-		if err := applyRecord(ps, payload); err != nil {
+		if err := applyRecord(r, payload); err != nil {
 			return 0, err
 		}
 		records++
@@ -132,8 +166,8 @@ func replayWAL(f *os.File, ps *engPart) (int, error) {
 	return records, nil
 }
 
-// applyRecord replays one decoded payload into the mirror.
-func applyRecord(ps *engPart, payload []byte) error {
+// applyRecord replays one decoded payload into the partition state.
+func applyRecord(st *replay, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("durable: empty wal record")
 	}
@@ -148,37 +182,30 @@ func applyRecord(ps *engPart, payload []byte) error {
 		}
 		v := make([]byte, len(val))
 		copy(v, val)
-		ps.data[string(key)] = mirrorEntry{ver: ver, val: v}
-		if ver > ps.maxVer {
-			ps.maxVer = ver
-		}
+		k := string(key)
+		st.data[k] = Entry{Key: k, Ver: ver, Val: v}
+		st.MaxVer = max(st.MaxVer, ver)
 	case opMaxVer:
-		ver := r.uvarint()
-		if r.err == nil && ver > ps.maxVer {
-			ps.maxVer = ver
+		if ver := r.uvarint(); r.err == nil {
+			st.MaxVer = max(st.MaxVer, ver)
 		}
-	case opDrop:
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = false
-		ps.sessions, ps.done = nil, nil
-	case opReset:
-		ps.data = make(map[string]mirrorEntry)
-		ps.resident = true
-		ps.sessions, ps.done = nil, nil
+	case opDrop, opReset:
+		st.data = make(map[string]Entry)
+		st.Resident = payload[0] == opReset
+		st.Sessions, st.Done = nil, nil
 	case opResident:
-		ps.resident = true
+		st.Resident = true
 	case opCursor:
 		s := Session{ID: r.uvarint()}
 		s.Next = uint32(r.uvarint())
 		s.Total = uint32(r.uvarint())
 		s.MarkResident = r.byte() == 1
 		if r.err == nil {
-			mirrorCursor(ps, s)
+			st.Sessions = UpsertSession(st.Sessions, s)
 		}
 	case opDone:
-		sid := r.uvarint()
-		if r.err == nil {
-			mirrorDone(ps, sid)
+		if sid := r.uvarint(); r.err == nil {
+			st.Sessions, st.Done = RetireSession(st.Sessions, st.Done, sid)
 		}
 	default:
 		return fmt.Errorf("durable: unknown wal op %d", payload[0])

@@ -200,8 +200,8 @@ func TestAETreeSubLocalization(t *testing.T) {
 		t.Fatal("identical record sets disagree at the root")
 	}
 	const k = "k-3"
-	b.Apply(k, 4, []byte("v"))        // XOR-remove the shared record
-	b.Apply(k, 99, []byte("newer"))   // replace with a divergent one
+	b.Apply(k, 4, []byte("v"))      // XOR-remove the shared record
+	b.Apply(k, 99, []byte("newer")) // replace with a divergent one
 	if a.Root() == b.Root() {
 		t.Fatal("divergent record sets agree at the root")
 	}

@@ -129,11 +129,11 @@ type Node struct {
 
 	// Anti-entropy counters (see ae.go). Atomic for the same reason as
 	// syncFails: the digest exchange fans out outside n.mu.
-	aeRoundsN   atomic.Int64
-	aeSyncedN   atomic.Int64
-	aeRepairsN  atomic.Int64
-	aeHealedN   atomic.Int64
-	aePayloadN  atomic.Int64
+	aeRoundsN  atomic.Int64
+	aeSyncedN  atomic.Int64
+	aeRepairsN atomic.Int64
+	aeHealedN  atomic.Int64
+	aePayloadN atomic.Int64
 }
 
 // outOp is one data-movement message to perform after the view update,
@@ -164,21 +164,13 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		return nil, err
 	}
 	st := newStore(cfg.Partitions)
-	var eng *durable.Engine
 	if cfg.DataDir != "" {
-		eng, err = durable.Open(durable.Options{
-			Dir:          cfg.DataDir,
-			Partitions:   cfg.Partitions,
-			Sync:         syncerFor(&cfg),
-			CompactEvery: cfg.WALCompactEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
 		// First boot trusts the recovered residency: a fresh directory is
 		// the authoritative-empty birth state, a reused one is whatever
 		// this node durably was when it last ran.
-		st = newDurableStore(cfg.Partitions, eng, true)
+		if st, err = openDurableStore(&cfg, true); err != nil {
+			return nil, err
+		}
 	}
 	n := &Node{
 		cfg:      cfg,
@@ -187,7 +179,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		tr:       tr,
 		view:     v,
 		store:    st,
-		eng:      eng,
+		eng:      st.eng,
 		tracker:  tk,
 		rng:      stats.NewRNG(cfg.Seed ^ 0x90DE),
 		missed:   make([]int, len(cfg.Peers)),
@@ -196,19 +188,11 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		pending:  make([]*statsBlob, len(cfg.Peers)),
 		nextPend: make([]*statsBlob, len(cfg.Peers)),
 	}
-	if eng != nil {
-		n.xgen = eng.Generation()
+	if n.eng != nil {
+		n.xgen = n.eng.Generation()
 	}
 	tr.SetHandler(n.Handle)
 	return n, nil
-}
-
-// syncerFor maps the config's fsync switch to the engine's Syncer.
-func syncerFor(cfg *Config) durable.Syncer {
-	if cfg.Fsync {
-		return durable.OSSync{}
-	}
-	return durable.NoSync{}
 }
 
 // durableErrLocked surfaces the engine's sticky failure for error
@@ -333,15 +317,6 @@ func (n *Node) Restart(epoch uint64) error {
 	}
 	st := newBlankStore(n.cfg.Partitions)
 	if n.cfg.DataDir != "" {
-		eng, err := durable.Open(durable.Options{
-			Dir:          n.cfg.DataDir,
-			Partitions:   n.cfg.Partitions,
-			Sync:         syncerFor(&n.cfg),
-			CompactEvery: n.cfg.WALCompactEvery,
-		})
-		if err != nil {
-			return fmt.Errorf("node %d: restart recovery: %w", n.cfg.ID, err)
-		}
 		// The cluster moved on while this node was dead, so the recovered
 		// content must not be served as authoritative (trustResident =
 		// false, every partition rejoins non-resident exactly like a
@@ -349,12 +324,14 @@ func (n *Node) Restart(epoch uint64) error {
 		// re-learned, the rejoin path pushes it back to the current
 		// primaries, which is what makes acked writes survive the crash
 		// of their whole holder set.
-		st = newDurableStore(n.cfg.Partitions, eng, false)
-		n.eng = eng
+		if st, err = openDurableStore(&n.cfg, false); err != nil {
+			return fmt.Errorf("node %d: restart recovery: %w", n.cfg.ID, err)
+		}
+		n.eng = st.eng
 		// Fresh boot generation: outbound session ids issued after this
 		// restart can never collide with ids the pre-crash boot used,
 		// which targets may durably remember as already complete.
-		n.xgen = eng.Generation()
+		n.xgen = n.eng.Generation()
 	}
 	n.view = v
 	n.store = st

@@ -44,7 +44,7 @@ func TestQuorumMatrix(t *testing.T) {
 			for p := 0; p < 3; p++ {
 				key := PartitionKey(p, 12)
 				val := fmt.Sprintf("w%d.r%d.p%d", tc.w, tc.r, p)
-				rcpt, err := f.Node(p % 4).PutQuorum(key, []byte(val))
+				rcpt, err := f.Node(p%4).PutQuorum(key, []byte(val))
 				if err != nil {
 					t.Fatalf("put %s: %v", key, err)
 				}

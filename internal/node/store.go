@@ -28,28 +28,20 @@ type entry struct {
 // scales that is orders of magnitude of headroom.
 const versionEpochShift = 20
 
-// Inbound transfer-session caps, matching the durable engine's mirror
-// caps exactly: the store's runtime session list and the engine's
-// recovered one must evolve identically, or a restart would recover
-// different sessions than the live node was tracking.
-const (
-	maxInboundSessions = 4
-	maxDoneSessions    = 8
-)
-
 // store is the node's partitioned KV data plus the per-partition
 // traffic counters for the epoch in flight. Partition maps exist for
 // every partition regardless of whether the node currently holds a
 // replica — holding is a property of the view, and an empty map for a
 // non-held partition costs nothing.
 //
-// When eng is non-nil the store is durably backed: every mutation
-// appends to the partition's write-ahead log BEFORE touching the
-// in-memory map, and an append failure refuses the mutation — the
-// quorum plane never acks a write the disk did not take. Values are
-// shared by reference between the map and the engine's recovery
-// mirror; both sides treat them as immutable (every apply installs a
-// fresh copy).
+// The store is the only in-memory owner of partition state. When eng
+// is non-nil it is durably backed: every mutation appends to the
+// partition's write-ahead log (synced) BEFORE touching the shard, and
+// an append failure refuses the mutation — the quorum plane never acks
+// a write the disk did not take. The engine keeps no copy; its
+// compactions snapshot the shard, which compactIfDueLocked hands over
+// under the shard lock. Values are immutable once installed (every
+// apply installs a fresh copy), so snapshots share them by reference.
 //
 // resident tracks whether the partition's local content is
 // authoritative: view membership and store content move at different
@@ -95,7 +87,8 @@ type partitionShard struct {
 	done    []uint64
 	// holds counts outbound transfer sessions currently freezing this
 	// partition's snapshot (the lease the source holds so compaction
-	// cannot GC state an in-flight transfer still needs).
+	// cannot GC state an in-flight transfer still needs). While it is
+	// non-zero a due compaction waits for the last releaseHold.
 	holds int
 	// tree is the partition's live anti-entropy digest, maintained
 	// incrementally by install/clear (O(1) per write). Reading it costs
@@ -125,29 +118,63 @@ func newBlankStore(partitions int) *store {
 	return s
 }
 
-// newDurableStore builds the store from a durable engine's recovered
-// state. trustResident distinguishes first boot from rejoin: a node
+// openDurableStore opens (or recovers) cfg.DataDir and builds the store
+// from what recovery replayed; see newDurableStore for trustResident.
+func openDurableStore(cfg *Config, trustResident bool) (*store, error) {
+	var sync durable.Syncer = durable.NoSync{}
+	if cfg.Fsync {
+		sync = durable.OSSync{}
+	}
+	eng, rec, err := durable.Open(durable.Options{
+		Dir:          cfg.DataDir,
+		Partitions:   cfg.Partitions,
+		Sync:         sync,
+		CompactEvery: cfg.WALCompactEvery,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newDurableStore(eng, rec, trustResident), nil
+}
+
+// newDurableStore builds the store over a durable engine from the
+// per-partition state its Open replayed; the store takes ownership of
+// rec. trustResident distinguishes first boot from rejoin: a node
 // opening its data dir at birth serves its recovered residency as-is,
 // while a node restarting into a cluster that moved on must not serve
 // possibly-stale recovered content — every partition rejoins
 // non-resident (like newBlankStore) but KEEPS the recovered data, so
 // the rejoin path can push it back to the current holders instead of
 // losing it.
-func newDurableStore(partitions int, eng *durable.Engine, trustResident bool) *store {
-	s := newStore(partitions)
+func newDurableStore(eng *durable.Engine, rec []durable.PartitionState, trustResident bool) *store {
+	s := newStore(len(rec))
 	s.eng = eng
-	for p := range s.parts {
+	for p, st := range rec {
 		ps := &s.parts[p]
-		rec := eng.Recovered(p)
-		for _, e := range rec.Entries {
+		for _, e := range st.Entries {
 			ps.install(e.Key, entry{val: e.Val, ver: e.Ver})
 		}
-		ps.maxVer = rec.MaxVer
-		ps.resident = rec.Resident && trustResident
-		ps.inbound = append(ps.inbound, rec.Sessions...)
-		ps.done = append(ps.done, rec.Done...)
+		ps.maxVer = st.MaxVer
+		ps.resident = st.Resident && trustResident
+		ps.inbound, ps.done = st.Sessions, st.Done
 	}
 	return s
+}
+
+// compactIfDueLocked runs the engine's compaction once a partition's
+// WAL has reached the threshold, snapshotting the shard as it stands.
+// Callers hold ps.mu and have applied every record they appended, so
+// the snapshot covers the WAL it replaces. An outbound hold defers the
+// compaction to the last releaseHold. A failure latches the engine.
+func (s *store) compactIfDueLocked(p int, ps *partitionShard) error {
+	if s.eng == nil || ps.holds > 0 || !s.eng.CompactDue(p) {
+		return nil
+	}
+	st := durable.PartitionState{MaxVer: ps.maxVer, Resident: ps.resident, Sessions: ps.inbound, Done: ps.done}
+	for _, e := range sortedEntries(ps.data) {
+		st.Entries = append(st.Entries, durable.Entry{Key: e.key, Ver: e.ver, Val: e.val})
+	}
+	return s.eng.Compact(p, st)
 }
 
 // install puts one entry into the shard map, keeping the byte
@@ -206,6 +233,9 @@ func (s *store) stampPut(p int, key string, value []byte, epochBase uint64) (uin
 	}
 	ps.maxVer = ver
 	ps.install(key, entry{val: v, ver: ver})
+	if s.compactIfDueLocked(p, ps) != nil {
+		return 0, false
+	}
 	return ver, true
 }
 
@@ -238,7 +268,7 @@ func (s *store) applySync(p int, key string, value []byte, ver uint64) (acked bo
 		ps.maxVer = ver
 	}
 	ps.install(key, entry{val: v, ver: ver})
-	return true
+	return s.compactIfDueLocked(p, ps) == nil
 }
 
 // mergeEntriesLocked folds an entry block into the shard, version-aware
@@ -264,6 +294,9 @@ func (s *store) mergeEntriesLocked(p int, ps *partitionShard, entries []kvEntry)
 		}
 		ps.install(in.key, entry{val: in.val, ver: in.ver})
 		merged++
+		if err := s.compactIfDueLocked(p, ps); err != nil {
+			return merged, err
+		}
 	}
 	return merged, nil
 }
@@ -284,7 +317,7 @@ func (s *store) mergeSnapshot(p int, entries []kvEntry) error {
 		}
 	}
 	ps.resident = true
-	return nil
+	return s.compactIfDueLocked(p, ps)
 }
 
 // mergeResident folds an entry block into the partition only when its
@@ -329,6 +362,9 @@ func (s *store) beginInbound(p int, sid uint64, total uint32, markResident bool,
 			}
 		}
 		ps.maxVer = srcMaxVer
+		if err := s.compactIfDueLocked(p, ps); err != nil {
+			return 0, prevVer, wasResident, err
+		}
 	}
 	for i := range ps.inbound {
 		if ps.inbound[i].ID == sid {
@@ -341,8 +377,8 @@ func (s *store) beginInbound(p int, sid uint64, total uint32, markResident bool,
 			return 0, prevVer, wasResident, err
 		}
 	}
-	ps.setInboundLocked(sess)
-	return 0, prevVer, wasResident, nil
+	ps.inbound = durable.UpsertSession(ps.inbound, sess)
+	return 0, prevVer, wasResident, s.compactIfDueLocked(p, ps)
 }
 
 // applyChunk applies one transfer chunk. known=false means the session
@@ -378,7 +414,7 @@ func (s *store) applyChunk(p int, sid uint64, idx uint32, entries []kvEntry) (ne
 			}
 		}
 		*sess = adv
-		return uint64(sess.Next), true, nil
+		return uint64(adv.Next), true, s.compactIfDueLocked(p, ps)
 	}
 	return 0, false, nil
 }
@@ -405,20 +441,26 @@ func (s *store) finishInbound(p int, sid uint64) (next uint64, known, complete b
 		if sess.Next != sess.Total {
 			return uint64(sess.Next), true, false, nil
 		}
-		if s.eng != nil {
-			if sess.MarkResident && !ps.resident {
+		if sess.MarkResident && !ps.resident {
+			if s.eng != nil {
 				if err := s.eng.AppendResident(p); err != nil {
 					return 0, true, false, err
 				}
 			}
+			ps.resident = true
+			if err := s.compactIfDueLocked(p, ps); err != nil {
+				return 0, true, false, err
+			}
+		}
+		if s.eng != nil {
 			if err := s.eng.AppendSessionDone(p, sid); err != nil {
 				return 0, true, false, err
 			}
 		}
-		if sess.MarkResident {
-			ps.resident = true
+		ps.inbound, ps.done = durable.RetireSession(ps.inbound, ps.done, sid)
+		if err := s.compactIfDueLocked(p, ps); err != nil {
+			return 0, true, false, err
 		}
-		ps.retireInboundLocked(sid)
 		return xferComplete, true, true, nil
 	}
 	return 0, false, false, nil
@@ -443,58 +485,23 @@ func (s *store) inboundCursor(p int, sid uint64) (next uint64, known bool) {
 	return 0, false
 }
 
-// setInboundLocked upserts a session record, evicting the oldest past
-// the cap — the same policy as the durable engine's mirror, so the
-// recovered list matches the live one.
-func (ps *partitionShard) setInboundLocked(sess durable.Session) {
-	for i := range ps.inbound {
-		if ps.inbound[i].ID == sess.ID {
-			ps.inbound[i] = sess
-			return
-		}
-	}
-	ps.inbound = append(ps.inbound, sess)
-	if len(ps.inbound) > maxInboundSessions {
-		ps.inbound = ps.inbound[len(ps.inbound)-maxInboundSessions:]
-	}
-}
-
-// retireInboundLocked moves a session to the done list (same eviction
-// policy as the engine mirror).
-func (ps *partitionShard) retireInboundLocked(sid uint64) {
-	for i := range ps.inbound {
-		if ps.inbound[i].ID == sid {
-			ps.inbound = append(ps.inbound[:i], ps.inbound[i+1:]...)
-			break
-		}
-	}
-	ps.done = append(ps.done, sid)
-	if len(ps.done) > maxDoneSessions {
-		ps.done = ps.done[len(ps.done)-maxDoneSessions:]
-	}
-}
-
 // holdSnapshot freezes the partition against compaction while an
 // outbound transfer session needs its state stable; releaseHold drops
-// the lease (running any deferred compaction).
+// the lease, and the last release runs any compaction it deferred.
 func (s *store) holdSnapshot(p int) {
 	ps := &s.parts[p]
 	ps.mu.Lock()
 	ps.holds++
 	ps.mu.Unlock()
-	if s.eng != nil {
-		s.eng.Hold(p)
-	}
 }
 
 func (s *store) releaseHold(p int) {
 	ps := &s.parts[p]
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	ps.holds--
-	ps.mu.Unlock()
-	if s.eng != nil {
-		s.eng.Release(p)
-	}
+	//lint:ignore rfhlint/errsink a failed compaction latches the engine; the next ack-path append surfaces it
+	_ = s.compactIfDueLocked(p, ps)
 }
 
 // holdCount reports the partition's outstanding snapshot holds.
@@ -557,19 +564,8 @@ func (s *store) localVersion(p int, key string) (v []byte, ver uint64, ok, resid
 // primary re-adopts the partition as empty. maxVer is kept so any
 // still-circulating version number stays below future stamps. Inbound
 // transfer sessions (and the done-list) die with the data, exactly as
-// in drop. The engine append failure mode is sticky engine-side: a
-// reset the disk missed surfaces on the next acked write, not here.
-func (s *store) resetEmpty(p int) {
-	ps := &s.parts[p]
-	ps.mu.Lock()
-	if s.eng != nil {
-		_ = s.eng.AppendReset(p) // sticky engine error; next ack-path append surfaces it
-	}
-	ps.clear()
-	ps.resident = true
-	ps.inbound, ps.done = nil, nil
-	ps.mu.Unlock()
-}
+// in drop.
+func (s *store) resetEmpty(p int) { s.wipe(p, true) }
 
 // drop discards the partition's data (migration victim, suicide). The
 // partition stops being resident: until another snapshot arrives, any
@@ -583,18 +579,30 @@ func (s *store) resetEmpty(p int) {
 // keys. With the sessions (and the done-list) cleared, a post-drop
 // chunk/done/begin answers StatusNotFound or restarts at chunk 0, and
 // the source re-ships the whole snapshot onto the emptied partition.
-// The engine's drop record clears its session mirror the same way, so
-// a restart recovers the invalidation too.
-func (s *store) drop(p int) {
+// Replaying the engine's drop record clears the sessions the same way,
+// so a restart recovers the invalidation too.
+func (s *store) drop(p int) { s.wipe(p, false) }
+
+// wipe is drop and resetEmpty: it clears the partition's data and
+// inbound sessions, keeps maxVer and sets residency. Engine failures
+// are sticky engine-side: a wipe the disk missed surfaces on the next
+// acked write, not here.
+func (s *store) wipe(p int, resident bool) {
 	ps := &s.parts[p]
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	if s.eng != nil {
-		_ = s.eng.AppendDrop(p) // sticky engine error; next ack-path append surfaces it
+		journal := s.eng.AppendDrop
+		if resident {
+			journal = s.eng.AppendReset
+		}
+		_ = journal(p)
 	}
 	ps.clear()
-	ps.resident = false
+	ps.resident = resident
 	ps.inbound, ps.done = nil, nil
-	ps.mu.Unlock()
+	//lint:ignore rfhlint/errsink a failed compaction latches the engine; the next ack-path append surfaces it
+	_ = s.compactIfDueLocked(p, ps)
 }
 
 func (s *store) keys(p int) int {
@@ -634,24 +642,14 @@ func (s *store) snapshotEntries(p int) ([]kvEntry, uint64) {
 }
 
 // snapshotEntriesAbove freezes only the entries strictly above a
-// version watermark — the delta-transfer fast path when the target's
-// digest proves its below-watermark content identical. On a durable
-// store the iteration runs against the engine's recovery mirror
-// (EntriesAbove), the seam where a future paged store will stream
-// from disk instead of RAM; the shard lock still brackets it so the
-// returned maxVer describes the same instant as the entry set.
+// version watermark, in ascending key order — the delta-transfer fast
+// path when the target's digest proves its below-watermark content
+// identical. The returned maxVer describes the same instant as the
+// entry set.
 func (s *store) snapshotEntriesAbove(p int, ver uint64) ([]kvEntry, uint64) {
 	ps := &s.parts[p]
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if s.eng != nil {
-		rec := s.eng.EntriesAbove(p, ver)
-		entries := make([]kvEntry, 0, len(rec))
-		for _, e := range rec {
-			entries = append(entries, kvEntry{key: e.Key, ver: e.Ver, val: e.Val})
-		}
-		return entries, ps.maxVer
-	}
 	var entries []kvEntry
 	for _, e := range sortedEntries(ps.data) {
 		if e.ver > ver {

@@ -96,7 +96,7 @@ type xferSession struct {
 	id     uint64
 	p      int
 	target int
-	mark   bool // completion marks the target resident (full plans only)
+	mark   bool   // completion marks the target resident (full plans only)
 	st     *store // the store the snapshot (and its hold) came from
 
 	planned bool // the delta-planning probe ran; chunks and maxVer are set
@@ -698,4 +698,3 @@ func (n *Node) handleXferDone(req *transport.Message) (*transport.Message, error
 			Cursor: xferComplete}, nil
 	}
 }
-

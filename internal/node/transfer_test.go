@@ -189,7 +189,14 @@ func TestInboundSessionIdempotence(t *testing.T) {
 // only a suffix of the source snapshot and mark the partition
 // resident with acked keys silently missing.
 func TestDropInvalidatesInboundSessions(t *testing.T) {
-	s := newStore(4)
+	for _, mode := range storeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			testDropInvalidatesInboundSessions(t, mode.open(t))
+		})
+	}
+}
+
+func testDropInvalidatesInboundSessions(t *testing.T, s *store) {
 	const p = 1
 	chunk := []kvEntry{{key: "a", val: []byte("1"), ver: 1}}
 
@@ -214,6 +221,9 @@ func TestDropInvalidatesInboundSessions(t *testing.T) {
 	}
 
 	s.drop(p)
+	if ps := &s.parts[p]; len(ps.inbound) != 0 || len(ps.done) != 0 {
+		t.Fatalf("drop kept sessions %v and done-list %v", ps.inbound, ps.done)
+	}
 
 	if _, known, _ := s.applyChunk(p, live, 1, chunk); known {
 		t.Error("post-drop chunk still found the session")

@@ -496,35 +496,17 @@ func decodeAEDigest(buf []byte) (leaves []uint64, root uint64, err error) {
 	return leaves, root, nil
 }
 
-// appendAEDiff encodes the flat (PR 9) digest-reply shape: the
-// divergent bucket indexes, then the replier's entries for those
-// buckets as a standard entry block. The live protocol no longer ships
-// this frame — it is retained (with its decoder) as the measured
-// baseline of the repair bench suite.
+// appendAEDiff encodes the flat digest-reply shape of single-level
+// anti-entropy: the divergent bucket indexes, then the replier's
+// entries for those buckets as a standard entry block. The live
+// protocol never ships it; the repair bench suite prices its length as
+// the baseline the hierarchical exchange is measured against.
 func appendAEDiff(dst []byte, buckets []int, entries []kvEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
 	for _, b := range buckets {
 		dst = binary.AppendUvarint(dst, uint64(b))
 	}
 	return appendEntries(dst, entries)
-}
-
-// decodeAEDiff parses a flat diff blob. maxBucket bounds every bucket
-// index (the local tree's leaf count).
-func decodeAEDiff(buf []byte, maxBucket int) (buckets []int, entries []kvEntry, err error) {
-	r := &uvarintReader{buf: buf}
-	n := r.nextInt(maxBucket)
-	for i := 0; i < n && r.err == nil; i++ {
-		buckets = append(buckets, r.nextInt(maxBucket-1))
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	entries, err = decodeSnapshot(r.buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buckets, entries, nil
 }
 
 // appendXferInfo encodes a transfer-info blob, carried in the Value of

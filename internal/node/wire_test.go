@@ -218,48 +218,3 @@ func TestDecodeAEDigestRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
-
-func TestAEDiffRoundTrip(t *testing.T) {
-	buckets := []int{0, 7, 63}
-	entries := []kvEntry{
-		{key: "a", ver: 3, val: []byte("av")},
-		{key: "b", ver: 9, val: nil},
-	}
-	enc := appendAEDiff(nil, buckets, entries)
-	gb, ge, err := decodeAEDiff(enc, aeTop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gb) != len(buckets) || len(ge) != len(entries) {
-		t.Fatalf("round-trip gave %d buckets, %d entries", len(gb), len(ge))
-	}
-	for i, b := range buckets {
-		if gb[i] != b {
-			t.Fatalf("bucket %d round-tripped to %d, want %d", i, gb[i], b)
-		}
-	}
-	for i, e := range entries {
-		if ge[i].key != e.key || ge[i].ver != e.ver || string(ge[i].val) != string(e.val) {
-			t.Fatalf("entry %d round-tripped to %+v, want %+v", i, ge[i], e)
-		}
-	}
-	// Empty diff = trees agree: no buckets, no entries.
-	if gb, ge, err := decodeAEDiff(appendAEDiff(nil, nil, nil), aeTop); err != nil || len(gb) != 0 || len(ge) != 0 {
-		t.Fatalf("empty diff: %v %v %v", gb, ge, err)
-	}
-}
-
-func TestDecodeAEDiffRejectsCorrupt(t *testing.T) {
-	good := appendAEDiff(nil, []int{1, 2}, []kvEntry{{key: "k", ver: 1, val: []byte("v")}})
-	cases := map[string][]byte{
-		"empty input":         {},
-		"bucket out of range": appendAEDiff(nil, []int{aeTop}, nil),
-		"truncated entries":   good[:len(good)-1],
-		"trailing":            append(append([]byte{}, good...), 0),
-	}
-	for name, buf := range cases {
-		if _, _, err := decodeAEDiff(buf, aeTop); err == nil {
-			t.Errorf("%s: corrupt AE diff accepted", name)
-		}
-	}
-}
