@@ -11,11 +11,15 @@ import (
 // TestSeedMatrixDurable is the disk-backed half of the seed matrix:
 // the same scenarios run over the durable engine with real per-node
 // data directories, so every crash keeps the victim's disk and every
-// restart replays its WALs. Each seed runs twice in different
-// directories — the trajectory must not depend on where the disk
-// lives, only on the seed.
+// restart replays its WALs. Every replica ship — even an empty
+// partition's — runs the probe/plan session handshake, so each seed
+// exercises watermark planning under the full fault schedule. Seeds
+// 1–10 include 0xa, whose fault schedule once left partition 1 with no
+// claimant. Each seed runs twice in different directories — the
+// trajectory, with the delta/full/bytes counters it carries, must not
+// depend on where the disk lives, only on the seed.
 func TestSeedMatrixDurable(t *testing.T) {
-	seeds := 6
+	seeds := 10
 	if testing.Short() {
 		seeds = 2
 	}
@@ -35,7 +39,13 @@ func TestSeedMatrixDurable(t *testing.T) {
 				t.Error("durable scenario acked no writes at all")
 			}
 			if a.Transfers.Started == 0 || a.Transfers.Completed == 0 {
-				t.Errorf("durable scenario ran no chunked transfers (stats %+v) — the one-frame threshold is not forcing sessions", a.Transfers)
+				t.Errorf("durable scenario ran no chunked transfers (stats %+v)", a.Transfers)
+			}
+			if a.Transfers.DeltaSessions+a.Transfers.FullSessions == 0 {
+				t.Errorf("no sessions were delta-planned at all (stats %+v) — the probe handshake is not running", a.Transfers)
+			}
+			if a.Transfers.BytesSent == 0 {
+				t.Error("transfers shipped zero counted bytes")
 			}
 			opts.DataDir = t.TempDir()
 			b, err := Run(opts)
@@ -69,9 +79,8 @@ func TestTransferResumesAcrossTargetRestart(t *testing.T) {
 	cfg.Seed = 11
 	cfg.DataDir = t.TempDir()
 	cfg.Fsync = false
-	cfg.SnapshotOneFrameBytes = 1 // every ship is a session
-	cfg.TransferChunkEntries = 1  // one entry per chunk
-	cfg.TransferLeaseEpochs = 50  // the outage must not expire the lease
+	cfg.TransferChunkEntries = 1 // one entry per chunk
+	cfg.TransferLeaseEpochs = 50 // the outage must not expire the lease
 
 	sever := false
 	passed := 0
@@ -113,6 +122,10 @@ func TestTransferResumesAcrossTargetRestart(t *testing.T) {
 		}
 	}
 
+	// Warm-up already ran sessions (every replica ship is one), so the
+	// counters below are read as differences from this baseline.
+	base := src.TransferStats()
+
 	// Round 1: the session delivers exactly one chunk, then every
 	// further chunk is dropped — the pump ends interrupted.
 	sever = true
@@ -120,10 +133,10 @@ func TestTransferResumesAcrossTargetRestart(t *testing.T) {
 		t.Fatal("severed transfer reported complete")
 	}
 	st := src.TransferStats()
-	if st.Started == 0 || st.Completed != 0 {
-		t.Fatalf("after severed round: stats %+v, want an open uncompleted session", st)
+	if st.Started == base.Started || st.Completed != base.Completed {
+		t.Fatalf("after severed round: stats %+v (baseline %+v), want an open uncompleted session", st, base)
 	}
-	chunksBefore := st.ChunksSent
+	chunksBefore := st.ChunksSent - base.ChunksSent
 
 	// The target dies and returns; its resume cursor now exists only in
 	// the WAL it replays on the way up.
@@ -139,14 +152,14 @@ func TestTransferResumesAcrossTargetRestart(t *testing.T) {
 		t.Fatal("resumed transfer did not complete")
 	}
 	st = src.TransferStats()
-	if st.Resumed == 0 {
+	if st.Resumed == base.Resumed {
 		t.Error("session completed without adopting the target's recovered cursor (Resumed=0) — a stubbed cursor would look exactly like this")
 	}
-	if st.Completed != 1 || st.Started != 1 {
-		t.Errorf("stats %+v, want exactly one session started and completed (a re-begun session is a failed resume)", st)
+	if st.Completed-base.Completed != 1 || st.Started-base.Started != 1 {
+		t.Errorf("stats %+v (baseline %+v), want exactly one session started and completed (a re-begun session is a failed resume)", st, base)
 	}
 	total := int64(keyCount)
-	if got := st.ChunksSent - 0; got != total {
+	if got := st.ChunksSent - base.ChunksSent; got != total {
 		t.Errorf("chunks sent over both rounds = %d, want %d: chunk 0 must ride exactly once (sent %d before the crash)",
 			got, total, chunksBefore)
 	}
@@ -176,13 +189,13 @@ func TestTransferResumesAcrossTargetRestart(t *testing.T) {
 		t.Fatal("delta re-transfer did not complete")
 	}
 	st = src.TransferStats()
-	if st.DeltaSessions != 1 {
-		t.Errorf("DeltaSessions = %d after re-migrating a resident target, want 1 (stats %+v)", st.DeltaSessions, st)
+	if got := st.DeltaSessions - base.DeltaSessions; got != 1 {
+		t.Errorf("DeltaSessions rose by %d after re-migrating a resident target, want 1 (stats %+v)", got, st)
 	}
 	if got := st.ChunksSent - chunksFull; got > int64(len(fresh)) {
 		t.Errorf("delta re-transfer sent %d chunks, want at most %d (only the fresh keys may ship)", got, len(fresh))
 	}
-	if st.BytesSaved == 0 {
+	if st.BytesSaved == base.BytesSaved {
 		t.Error("delta re-transfer reports BytesSaved=0 — the plan shipped the full snapshot")
 	}
 	for _, key := range fresh {
@@ -192,13 +205,12 @@ func TestTransferResumesAcrossTargetRestart(t *testing.T) {
 	}
 }
 
-// TestSeedMatrixDurableNoOneFrame is the delta-path variant of the
-// durable matrix: with the one-frame threshold forced off, EVERY
-// replica ship — including the empty-partition ships that normally
-// collapse to a single snapshot frame — runs the probe/plan handshake,
-// so each seed exercises watermark planning under the full fault
-// schedule. The trajectory must stay deterministic across directories
-// here too, now including the delta/full/bytes counters it carries.
+// TestSeedMatrixDurableNoOneFrame pins the retirement of the one-frame
+// ship: across the full durable fault schedule no replica is shipped
+// as a single snapshot frame (OneFrame stays 0), every ship — even an
+// empty partition's — runs the probe/plan handshake, and the
+// trajectory, delta/full/bytes counters included, stays deterministic
+// across directories.
 func TestSeedMatrixDurableNoOneFrame(t *testing.T) {
 	seeds := 3
 	if testing.Short() {
@@ -209,7 +221,6 @@ func TestSeedMatrixDurableNoOneFrame(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			opts := DefaultOptions(seed)
 			opts.DataDir = t.TempDir()
-			opts.DisableOneFrame = true
 			a, err := Run(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -217,8 +228,17 @@ func TestSeedMatrixDurableNoOneFrame(t *testing.T) {
 			for _, v := range a.Violations {
 				t.Errorf("%s", v)
 			}
+			if a.Transfers.OneFrame != 0 {
+				t.Errorf("%d replica ships went as one frame (stats %+v), want every ship to be a session", a.Transfers.OneFrame, a.Transfers)
+			}
 			if a.Transfers.DeltaSessions+a.Transfers.FullSessions == 0 {
 				t.Errorf("no sessions were delta-planned at all (stats %+v) — the probe handshake is not running", a.Transfers)
+			}
+			// Every completed ship was planned by the probe, and no
+			// session is planned twice.
+			planned := a.Transfers.DeltaSessions + a.Transfers.FullSessions
+			if planned < a.Transfers.Completed || planned > a.Transfers.Started {
+				t.Errorf("planned sessions = %d, want between completed and started (stats %+v)", planned, a.Transfers)
 			}
 			if a.Transfers.BytesSent == 0 {
 				t.Error("transfers shipped zero counted bytes")

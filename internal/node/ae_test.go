@@ -95,7 +95,7 @@ func TestAntiEntropyHealsSeveredHolder(t *testing.T) {
 			if m.Kind == KindGet || m.Kind == KindVer {
 				reads++
 			}
-			if severed && (m.Kind == KindSync || m.Kind == KindStore) {
+			if severed && replicationKind(m.Kind) {
 				return transport.FaultDrop
 			}
 			return transport.FaultDeliver

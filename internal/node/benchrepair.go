@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/transport"
@@ -58,7 +59,6 @@ func MeasureTransferRepair(keys, divergent int) (RepairCost, error) {
 	cfg.Seed = 7
 	cfg.WriteQuorum = 1
 	cfg.ReadQuorum = 1
-	cfg.SnapshotOneFrameBytes = -1 // every ship is a probed, planned session
 	cfg.TransferLeaseEpochs = 1 << 20
 
 	var wireBytes int64
@@ -226,4 +226,17 @@ func MeasureAERepair(keys, divergent int) RepairCost {
 		DeltaBytes:    hier,
 		Ratio:         float64(flat) / float64(hier),
 	}
+}
+
+// appendAEDiff encodes the flat digest-reply shape of single-level
+// anti-entropy: the divergent bucket indexes, then the replier's
+// entries for those buckets as a standard entry block. The live
+// protocol never ships it; the repair bench suite prices its length as
+// the baseline the hierarchical exchange is measured against.
+func appendAEDiff(dst []byte, buckets []int, entries []kvEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
+	for _, b := range buckets {
+		dst = binary.AppendUvarint(dst, uint64(b))
+	}
+	return appendEntries(dst, entries)
 }

@@ -91,15 +91,10 @@ type Config struct {
 	// before its log folds into a snapshot (default 1024).
 	WALCompactEvery int
 
-	// SnapshotOneFrameBytes is the size threshold that splits replica
-	// shipping: a partition whose payload stays under it travels as one
-	// KindStore frame, anything larger goes through a chunked transfer
-	// session (default 64 KiB). Negative disables one-frame shipping
-	// entirely — every ship becomes a session, so even empty partitions
-	// take the probed, delta-planned path (sizeBytes is never negative).
-	SnapshotOneFrameBytes int
 	// TransferChunkEntries bounds the entries one transfer chunk carries
-	// (default 256); chunks also cap at a fixed byte size.
+	// (default 256); chunks also cap at a fixed byte size. Every replica
+	// ship, whatever the partition's size, is a chunked transfer session
+	// (transfer.go).
 	TransferChunkEntries int
 	// TransferLeaseEpochs is how many epochs an outbound transfer
 	// session may go without progress before the source abandons it and
@@ -112,8 +107,9 @@ type Config struct {
 	// divergent key ranges through version-gated merges, so holder drift
 	// heals without waiting for a quorum read to touch the key. 0 (the
 	// default) disables background anti-entropy — read-repair and
-	// replica shipping stay the only healing paths, which is also what
-	// the byte-identical memory-mode chaos trajectories require.
+	// replica shipping stay the only healing paths. The memory-mode chaos
+	// scenarios keep it off: the digest sweep would add sends (and
+	// fault-RNG draws) to every epoch of those trajectories.
 	AEInterval int
 
 	// SuspectAfter is how many epochs a peer may stay silent before it
@@ -207,9 +203,6 @@ func (c *Config) Validate() error {
 	// 0 means "unset" for the durability and transfer knobs too.
 	if c.WALCompactEvery == 0 {
 		c.WALCompactEvery = 1024
-	}
-	if c.SnapshotOneFrameBytes == 0 {
-		c.SnapshotOneFrameBytes = 64 << 10
 	}
 	if c.TransferChunkEntries == 0 {
 		c.TransferChunkEntries = 256

@@ -59,9 +59,6 @@ func TestDispatchCoversWireKinds(t *testing.T) {
 			msg = &transport.Message{Kind: kind, Key: []byte(key), Value: []byte("v2")}
 		case KindSync:
 			msg = &transport.Message{Kind: kind, Partition: uint32(p), Key: []byte(key), Value: []byte("v3"), Version: 1 << 40}
-		case KindStore:
-			snap := appendSnapshot(nil, map[string]entry{"other-key": {val: []byte("sv"), ver: 1}})
-			msg = &transport.Message{Kind: kind, Partition: uint32(p), Value: snap}
 		case KindDrop:
 			// The primary refuses the drop (StatusRetry) rather than
 			// destroying its authoritative copy; either way the kind is

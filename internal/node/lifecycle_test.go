@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -115,60 +116,97 @@ func TestStaleClaimDoesNotMoveReplicas(t *testing.T) {
 	h.assertViewsAgree()
 }
 
-// TestReplayedStoreIsIdempotent delivers the same KindStore snapshot
-// transfer twice and asserts the second application changes nothing:
-// same keys, same values, and no traffic counters charged — a
-// duplicated transfer on a flaky network must not double-count
-// anything.
+// sessionMsgs scripts one inbound transfer session as the wire
+// messages its source sends: begin, one chunk per entry, done. The
+// session marks the target resident on completion.
+func sessionMsgs(p uint32, sid, maxVer uint64, entries []kvEntry) []*transport.Message {
+	msgs := []*transport.Message{{Kind: KindXferBegin, Partition: p, Session: sid, Version: maxVer,
+		Value: appendXferBegin(nil, uint32(len(entries)), true)}}
+	for i := range entries {
+		msgs = append(msgs, &transport.Message{Kind: KindXferChunk, Partition: p, Session: sid,
+			Cursor: uint64(i), Value: appendEntries(nil, entries[i:i+1])})
+	}
+	return append(msgs, &transport.Message{Kind: KindXferDone, Partition: p, Session: sid})
+}
+
+// deliver hands one scripted message to the node and fails the test
+// unless it is answered StatusOK.
+func deliver(t *testing.T, nd *Node, msg *transport.Message) *transport.Message {
+	t.Helper()
+	resp, err := nd.Handle("node1", msg)
+	if err != nil || resp.Status != transport.StatusOK {
+		t.Fatalf("%s: resp=%+v err=%v", KindNames[msg.Kind], resp, err)
+	}
+	return resp
+}
+
+// TestReplayedStoreIsIdempotent delivers a complete replica-shipping
+// session, then replays its begin, every chunk and its done: each
+// replay is answered "already complete" and changes nothing — same
+// keys, same values, same watermark — and no traffic counters are
+// charged. A duplicated transfer on a flaky network must not
+// double-count anything.
 func TestReplayedStoreIsIdempotent(t *testing.T) {
 	h := newHarness(t, "loopback", 3, testConfig())
 	nd := h.nodes[0]
 	const p = 4
-	snap := map[string]entry{"a": {val: []byte("1"), ver: 3}, "b": {val: []byte("2"), ver: 4}}
-	msg := &transport.Message{Kind: KindStore, Partition: p, Value: appendSnapshot(nil, snap)}
+	msgs := sessionMsgs(p, 7, 4, []kvEntry{{key: "a", val: []byte("1"), ver: 3}, {key: "b", val: []byte("2"), ver: 4}})
 
-	apply := func() (int, []byte) {
-		t.Helper()
-		resp, err := nd.Handle("node1", msg)
-		if err != nil || resp.Status != transport.StatusOK {
-			t.Fatalf("store transfer failed: resp=%+v err=%v", resp, err)
-		}
+	state := func() (int, []byte, uint64) {
 		va, _, _ := nd.store.get(p, "a")
-		return nd.store.keys(p), append([]byte(nil), va...)
+		maxVer, _, _, _ := nd.store.transferInfo(p)
+		return nd.store.keys(p), append([]byte(nil), va...), maxVer
 	}
-	k1, v1 := apply()
-	k2, v2 := apply()
-	if k1 != 2 || k2 != 2 || string(v1) != "1" || string(v2) != "1" {
-		t.Errorf("replayed KindStore not idempotent: keys %d/%d values %q/%q", k1, k2, v1, v2)
+	for _, m := range msgs {
+		deliver(t, nd, m)
+	}
+	k1, v1, w1 := state()
+	for _, m := range msgs {
+		if resp := deliver(t, nd, m); resp.Cursor != xferComplete {
+			t.Errorf("replayed %s answered cursor %d, want the complete sentinel", KindNames[m.Kind], resp.Cursor)
+		}
+	}
+	k2, v2, w2 := state()
+	if k1 != 2 || k2 != 2 || string(v1) != "1" || string(v2) != "1" || w1 != 4 || w2 != 4 {
+		t.Errorf("replayed session not idempotent: keys %d/%d values %q/%q watermarks %d/%d", k1, k2, v1, v2, w1, w2)
+	}
+	if !nd.store.isResident(p) {
+		t.Error("completed session did not mark the partition resident")
 	}
 	nd.mu.Lock()
 	flushed := nd.store.flushCounters()
 	nd.mu.Unlock()
 	if len(flushed) != 0 {
-		t.Errorf("snapshot transfer charged traffic counters: %+v", flushed)
+		t.Errorf("session replay charged traffic counters: %+v", flushed)
 	}
 }
 
-// TestReplayedStoreDoesNotRollBack delivers a snapshot, applies a
-// newer versioned sync on top, then replays the original snapshot: the
-// delayed duplicate must not roll the key back to the older version.
+// TestReplayedStoreDoesNotRollBack ships a key in one session, applies
+// a newer versioned sync on top, then delivers the older version
+// again: as a replayed chunk of the finished session, and as the late
+// chunk of a second session that began before the sync. Neither may
+// roll the key back to the older version.
 func TestReplayedStoreDoesNotRollBack(t *testing.T) {
 	h := newHarness(t, "loopback", 3, testConfig())
 	nd := h.nodes[0]
 	const p = 4
-	snap := appendSnapshot(nil, map[string]entry{"a": {val: []byte("old"), ver: 3}})
-	if _, err := nd.Handle("node1", &transport.Message{Kind: KindStore, Partition: p, Value: snap}); err != nil {
-		t.Fatal(err)
+	old := []kvEntry{{key: "a", val: []byte("old"), ver: 3}}
+	first := sessionMsgs(p, 7, 3, old)
+	for _, m := range first {
+		deliver(t, nd, m)
 	}
+	late := sessionMsgs(p, 8, 3, old)
+	deliver(t, nd, late[0]) // the second session begins before the sync
 	if !nd.store.applySync(p, "a", []byte("new"), 9) {
 		t.Fatal("sync refused on a resident partition")
 	}
-	if _, err := nd.Handle("node1", &transport.Message{Kind: KindStore, Partition: p, Value: snap}); err != nil {
-		t.Fatal(err)
+	deliver(t, nd, first[1]) // replayed chunk of the finished session
+	for _, m := range late[1:] {
+		deliver(t, nd, m)
 	}
 	v, ver, _ := nd.store.get(p, "a")
 	if string(v) != "new" || ver != 9 {
-		t.Errorf("replayed snapshot rolled key back: got (%q, %d), want (\"new\", 9)", v, ver)
+		t.Errorf("late chunk rolled key back: got (%q, %d), want (\"new\", 9)", v, ver)
 	}
 }
 
@@ -280,6 +318,66 @@ func TestReplayedClaimIsIdempotent(t *testing.T) {
 				t.Errorf("partition %d lists holder %d twice", p, s)
 			}
 			seen[s] = true
+		}
+	}
+}
+
+// TestMutuallyNamedPrimaryOrphanIsAdopted builds the claim deadlock
+// in which no view lists its own node as a holder of partition p:
+// nodes 0 and 2 name node 1 as primary, node 1 names node 0. Nobody
+// claims p, and the HasReplica(self) adoption rule never fires. Node 0
+// holds the only copy with data and must step in. Node 2, resident but
+// empty, must not: competing adoptions resolve to the highest
+// claimant, so its empty copy would lead the partition and answer
+// reads for the key. Once the views settle, whichever holder leads
+// must hold the data, and every node must read it.
+func TestMutuallyNamedPrimaryOrphanIsAdopted(t *testing.T) {
+	base := testConfig()
+	h := newHarness(t, "loopback", 3, base)
+	for e := 0; e < 3; e++ {
+		h.tick()
+	}
+	const p = 5
+	key := PartitionKey(p, base.Partitions)
+	names := []int{1, 0, 1} // the only holder (and primary) each node's view names
+	for i, nd := range h.nodes {
+		nd.mu.Lock()
+		c := nd.view.cluster
+		named := cluster.ServerID(names[i])
+		_ = c.AddReplica(p, named)
+		for _, s := range c.ReplicaServers(p) {
+			if s != named {
+				if err := c.RemoveReplica(p, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.SetPrimary(p, named); err != nil {
+			t.Fatal(err)
+		}
+		nd.mu.Unlock()
+	}
+	if err := h.nodes[0].store.mergeSnapshot(p, []kvEntry{{key: key, val: []byte("held"), ver: 1 << 20}}); err != nil {
+		t.Fatal(err)
+	}
+	h.nodes[1].store.drop(p)
+	h.nodes[2].store.resetEmpty(p)
+
+	for e := 0; e < 4*base.SuspectAfter; e++ {
+		h.tick()
+	}
+	h.assertViewsAgree()
+	prim := h.nodes[0].Primaries()[p]
+	if prim < 0 {
+		t.Fatalf("partition %d still has no primary", p)
+	}
+	if v, ok := h.nodes[prim].LocalGet(key); !ok || string(v) != "held" {
+		t.Fatalf("partition %d primary %d holds (%q, %v), want the shipped copy", p, prim, v, ok)
+	}
+	for i, nd := range h.nodes {
+		v, ok, err := nd.Get(key)
+		if err != nil || !ok || string(v) != "held" {
+			t.Errorf("node %d get %q: (%q, %v, %v), want \"held\"", i, key, v, ok, err)
 		}
 	}
 }

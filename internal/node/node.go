@@ -416,8 +416,6 @@ func (n *Node) Handle(from string, req *transport.Message) (*transport.Message, 
 		return n.handleSync(req)
 	case KindVer:
 		return n.handleVer(req)
-	case KindStore:
-		return n.handleStore(req)
 	case KindXferBegin:
 		return n.handleXferBegin(req)
 	case KindXferChunk:
@@ -880,28 +878,7 @@ func (n *Node) handleVer(req *transport.Message) (*transport.Message, error) {
 	}
 }
 
-// --- Replica transfer -----------------------------------------------
-
-func (n *Node) handleStore(req *transport.Message) (*transport.Message, error) {
-	p, err := n.checkPartition(req.Partition)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := decodeSnapshot(req.Value)
-	if err != nil {
-		return nil, err
-	}
-	// Version-aware merge, not replacement: a replayed or delayed
-	// snapshot transfer must never roll a key back below a version a
-	// later sync already installed here.
-	n.mu.RLock()
-	err = n.store.mergeSnapshot(p, entries)
-	n.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	return &transport.Message{Kind: KindStore, Partition: req.Partition}, nil
-}
+// --- Replica drop ---------------------------------------------------
 
 func (n *Node) handleDrop(req *transport.Message) (*transport.Message, error) {
 	p, err := n.checkPartition(req.Partition)
@@ -1232,13 +1209,40 @@ func (n *Node) reconcileClaimsLocked() {
 // cede on the epoch after. (Adoption cannot be restricted to the
 // lowest holder: with divergent views, the holder that looks lowest to
 // everyone else may not list itself at all and would never step up.)
+//
+// The views can also deadlock with no view listing its own node: a
+// stale claim (say, a partitioned node's reseed) removed the real
+// holders from their own views, and each view names a primary whose
+// view names someone else. A node that physically holds the data then
+// steps in, once the evidence is unambiguous: no claim for
+// 2*SuspectAfter epochs, the named primary sent stats this epoch
+// without claiming the partition (so it provably does not think it
+// leads), and the local copy is resident and non-empty. Every node
+// boots resident and empty for partitions it does not hold, so an
+// empty copy never qualifies — it must not take over from the copies
+// that have the data. The adopter keeps only its own copy in its view:
+// the other holders its stale view names are what is in doubt, and
+// the policy re-replicates from the adopted copy through transfer
+// sessions, which delta-plan against any resident copy a target has.
 func (n *Node) adoptOrphansLocked() {
+	c := n.view.cluster
+	self := cluster.ServerID(n.self)
 	for p := 0; p < n.cfg.Partitions; p++ {
 		if n.orphaned[p] < n.cfg.SuspectAfter {
 			continue
 		}
-		if c := n.view.cluster; c.HasReplica(p, cluster.ServerID(n.self)) {
-			_ = c.SetPrimary(p, cluster.ServerID(n.self))
+		if !c.HasReplica(p, self) && n.orphaned[p] >= 2*n.cfg.SuspectAfter &&
+			n.store.isResident(p) && n.store.keys(p) > 0 {
+			if pr := n.view.primary(p); pr >= 0 && n.pending[pr] != nil && c.AddReplica(p, self) == nil {
+				for _, s := range c.ReplicaServers(p) {
+					if s != self {
+						_ = c.RemoveReplica(p, s)
+					}
+				}
+			}
+		}
+		if c.HasReplica(p, self) {
+			_ = c.SetPrimary(p, self)
 		}
 	}
 }
@@ -1334,7 +1338,9 @@ func (n *Node) foldTrackerLocked() *workload.Matrix {
 // applyDecisionLocked executes the slice of the decision this node is
 // responsible for: only the partition's primary applies structural
 // actions — same bandwidth gating and failed-migration fallback as the
-// simulator — and ships the snapshots and drop orders they imply.
+// simulator — opens the transfer sessions that ship each new copy
+// (RunEpoch pumps them once the lock drops) and returns the drop
+// orders for vacated holders.
 // Non-primary nodes discard the decision and learn the outcome from
 // the primary's next placement claim instead. The one-epoch metadata
 // lag is deliberate: under message loss the per-node traffic trackers
@@ -1350,29 +1356,17 @@ func (n *Node) foldTrackerLocked() *workload.Matrix {
 // nobody claims the partition. A migration whose source is the primary
 // keeps the source copy and degrades to a replication, exactly like
 // the refused-removal fallback.
+//
+// Because only the primary executes, and the primary already holds a
+// copy, no action ever targets this node: a new holder is not one
+// (AddReplica refuses an existing one), and neither is a migration
+// source or a suicide (the primary copy never moves or suicides). So
+// every ship and every drop goes to a peer.
 func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 	c := n.view.cluster
 	size := n.cfg.PartitionSize
 	var ops []outOp
 
-	// shipOp routes one replica ship by size: a partition under the
-	// one-frame threshold travels as a single KindStore message, a
-	// larger one opens a chunked transfer session that RunEpoch pumps
-	// after the lock drops (ok=false: nothing to append to ops).
-	shipOp := func(p, target int) (outOp, bool) {
-		if n.store.sizeBytes(p) <= n.cfg.SnapshotOneFrameBytes {
-			snap := n.store.encodeSnapshot(p)
-			n.xmu.Lock()
-			n.xstats.OneFrame++
-			n.xstats.BytesSent += int64(len(snap))
-			n.xmu.Unlock()
-			return outOp{peer: target, msg: &transport.Message{
-				Kind: KindStore, Partition: uint32(p), Value: snap,
-			}}, true
-		}
-		n.startTransferLocked(p, target, true)
-		return outOp{}, false
-	}
 	dropOp := func(p, target int) outOp {
 		return outOp{peer: target, msg: &transport.Message{
 			Kind: KindDrop, Partition: uint32(p),
@@ -1394,11 +1388,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 			continue
 		}
 		n.counts.Repl++
-		if int(tgt) != n.self {
-			if op, ok := shipOp(p, int(tgt)); ok {
-				ops = append(ops, op)
-			}
-		}
+		n.startTransferLocked(p, int(tgt), true)
 	}
 	for _, mig := range dec.Migrations {
 		p, from, to := mig.Partition, mig.From, mig.To
@@ -1421,28 +1411,12 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 			// physically a replication (same accounting as the
 			// simulator's half-completed move).
 			n.counts.Repl++
-			if int(to) != n.self {
-				if op, ok := shipOp(p, int(to)); ok {
-					ops = append(ops, op)
-				}
-			}
+			n.startTransferLocked(p, int(to), true)
 			continue
 		}
 		n.counts.Migr++
-		if int(to) != n.self {
-			// Snapshot (or open the session) BEFORE the source drop
-			// below: when this node is both source and shipper, dropping
-			// first would ship an empty partition.
-			if op, ok := shipOp(p, int(to)); ok {
-				ops = append(ops, op)
-			}
-		}
-		if int(from) == n.self {
-			n.store.drop(p)
-		}
-		if int(from) != n.self {
-			ops = append(ops, dropOp(p, int(from)))
-		}
+		n.startTransferLocked(p, int(to), true)
+		ops = append(ops, dropOp(p, int(from)))
 	}
 	for _, sui := range dec.Suicides {
 		p, s := sui.Partition, sui.Server
@@ -1456,11 +1430,7 @@ func (n *Node) applyDecisionLocked(dec policy.Decision) []outOp {
 			continue
 		}
 		n.counts.Suicide++
-		if int(s) == n.self {
-			n.store.drop(p)
-		} else {
-			ops = append(ops, dropOp(p, int(s)))
-		}
+		ops = append(ops, dropOp(p, int(s)))
 	}
 	return ops
 }

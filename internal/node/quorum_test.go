@@ -65,13 +65,25 @@ func TestQuorumMatrix(t *testing.T) {
 	}
 }
 
+// replicationKind reports whether a message kind carries writes or
+// replica content to a holder: the per-write sync and the four
+// transfer-session kinds that ship whole partitions.
+func replicationKind(k uint8) bool {
+	switch k {
+	case KindSync, KindXferBegin, KindXferChunk, KindXferCursor, KindXferDone:
+		return true
+	default:
+		return false
+	}
+}
+
 // severing fault wrapper: while *severed is set, drops every
-// replication message (sync and snapshot) so writes cannot reach
-// secondary holders.
+// replication message (syncs and transfer sessions) so writes cannot
+// reach secondary holders.
 func severWrap(severed *bool) WrapTransport {
 	return func(i int, tr transport.Transport) transport.Transport {
 		return transport.NewFault(tr, func(from, to string, m *transport.Message) transport.FaultAction {
-			if *severed && (m.Kind == KindSync || m.Kind == KindStore) {
+			if *severed && replicationKind(m.Kind) {
 				return transport.FaultDrop
 			}
 			return transport.FaultDeliver

@@ -301,9 +301,10 @@ func (s *store) mergeEntriesLocked(p int, ps *partitionShard, entries []kvEntry)
 	return merged, nil
 }
 
-// mergeSnapshot folds a one-frame transferred snapshot into the
-// partition. The partition becomes resident — after the merge its
-// content covers at least everything the sender had.
+// mergeSnapshot folds an authoritative entry set into the partition
+// and makes it resident. Rejoin calls it with no entries to re-adopt a
+// partition this node leads again; tests and the repair bench seed
+// partitions with it.
 func (s *store) mergeSnapshot(p int, entries []kvEntry) error {
 	ps := &s.parts[p]
 	ps.mu.Lock()
@@ -612,8 +613,8 @@ func (s *store) keys(p int) int {
 	return len(ps.data)
 }
 
-// sizeBytes reports the partition's payload size (keys + values), the
-// quantity the one-frame-vs-chunked shipping threshold compares.
+// sizeBytes reports the partition's payload size (keys + values), as
+// DumpInfo shows it.
 func (s *store) sizeBytes(p int) int {
 	ps := &s.parts[p]
 	ps.mu.Lock()
@@ -711,15 +712,6 @@ func (s *store) getEntries(p int, keys []string) []kvEntry {
 		}
 	}
 	return out
-}
-
-// encodeSnapshot serialises the partition's content for a one-frame
-// KindStore transfer.
-func (s *store) encodeSnapshot(p int) []byte {
-	ps := &s.parts[p]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return appendSnapshot(nil, ps.data)
 }
 
 // flushCounters snapshots every partition's non-zero counters and

@@ -6,18 +6,20 @@ import (
 	"repro/internal/transport"
 )
 
-// Chunked replica transfers (the zrepl step model): instead of one
-// KindStore frame carrying a whole partition, the source freezes a
-// snapshot, slices it into chunks, and drives a session of
-// probe → begin → chunk* → done exchanges. The TARGET owns the resume
-// cursor — the next chunk index it wants — persists it (durable
-// engine) and echoes it on every reply, so the source never guesses:
-// after any fault, duplicate or restart it adopts the target's cursor
-// and continues from there. Repeated invocation is monotone (the
-// cursor only advances) and converges. While a session is in flight
-// the source holds the partition's snapshot against compaction; the
-// hold is leased — a session making no progress for
-// TransferLeaseEpochs epochs is abandoned and the hold released.
+// Chunked replica transfers (the zrepl step model): every replica ship
+// — an RFH replication or migration, the StatusRetry heal of a sync,
+// a rejoining node's re-injection — is a session, however small the
+// partition. The source freezes a snapshot, slices it into chunks, and
+// drives a session of probe → begin → chunk* → done exchanges. The
+// TARGET owns the resume cursor — the next chunk index it wants —
+// persists it (durable engine) and echoes it on every reply, so the
+// source never guesses: after any fault, duplicate or restart it
+// adopts the target's cursor and continues from there. Repeated
+// invocation is monotone (the cursor only advances) and converges.
+// While a session is in flight the source holds the partition's
+// snapshot against compaction; the hold is leased — a session making
+// no progress for TransferLeaseEpochs epochs is abandoned and the hold
+// released.
 //
 // Delta planning: the first pump of a session probes the target
 // (KindXferCursor) before freezing anything. The unknown-session reply
@@ -73,8 +75,10 @@ const (
 // nonzero cursor the target reported after an interruption — the
 // signal the crash-mid-transfer scenarios assert on. DeltaSessions
 // and FullSessions split planned sessions by outcome; BytesSent counts
-// payload bytes actually shipped (chunks + one-frame snapshots) and
-// BytesSaved the payload bytes delta planning avoided shipping.
+// chunk payload bytes actually shipped and BytesSaved the payload
+// bytes delta planning avoided shipping. OneFrame always reads 0:
+// every ship is a session, and the field stays only for readers of
+// its JSON name.
 type TransferStats struct {
 	Started       int64 `json:"started"`
 	Completed     int64 `json:"completed"`
@@ -122,17 +126,17 @@ func (n *Node) TransferStats() TransferStats {
 }
 
 // startTransferLocked opens an outbound session for partition p toward
-// target and takes the compaction hold; the snapshot itself is frozen
-// later, by the first pump's delta-planning probe. Callers hold n.mu;
-// an existing live session for the same (partition, target) pair is
-// left alone — its frozen state is already on the way, and
-// syncs/read-repair heal anything newer.
-func (n *Node) startTransferLocked(p, target int, mark bool) {
+// target, takes the compaction hold and returns the session; the
+// snapshot itself is frozen later, by the first pump's delta-planning
+// probe. Callers hold n.mu. An existing live session for the same
+// (partition, target) pair is returned as it is — its frozen state is
+// already on the way, and syncs/read-repair heal anything newer.
+func (n *Node) startTransferLocked(p, target int, mark bool) *xferSession {
 	n.xmu.Lock()
 	defer n.xmu.Unlock()
 	for _, s := range n.xfers {
 		if s.p == p && s.target == target {
-			return
+			return s
 		}
 	}
 	n.store.holdSnapshot(p)
@@ -146,6 +150,7 @@ func (n *Node) startTransferLocked(p, target int, mark bool) {
 	}
 	n.xfers = append(n.xfers, s)
 	n.xstats.Started++
+	return s
 }
 
 // planSession freezes the session's chunk set from the target's probe
@@ -289,51 +294,22 @@ func (n *Node) pumpTransfers() {
 // shipPartition heals a holder that answered StatusRetry on a sync —
 // it has no resident copy to apply onto. The shipped state must
 // contain version ver (the write being acked): a true return is a
-// durability ack for that write, not just "a snapshot landed". Under
-// the one-frame threshold the partition travels as a single KindStore
-// message encoded at call time, which is after the stamp and so always
-// covers ver. Above it a chunked session is driven to completion
-// synchronously — and if the live session for this (partition, target)
-// was frozen before ver was stamped, it is completed and retired first
-// and a second, freshly frozen session carries the write. Callers must
-// not hold n.mu.
+// durability ack for that write, not just "a snapshot landed". A
+// chunked session is driven to completion synchronously — and if the
+// live session for this (partition, target) was frozen before ver was
+// stamped, it is completed and retired first and a second, freshly
+// frozen session carries the write. Callers must not hold n.mu.
 //
 //lint:requires-unlocked n.mu
 func (n *Node) shipPartition(p, target int, ver uint64) bool {
-	if n.store.sizeBytes(p) <= n.cfg.SnapshotOneFrameBytes {
-		snap := n.store.encodeSnapshot(p)
-		resp, err := n.tr.Send(n.peerAddr(target), &transport.Message{
-			Kind: KindStore, Partition: uint32(p), Value: snap,
-		})
-		if err != nil || resp.Status != transport.StatusOK {
-			return false
-		}
-		n.xmu.Lock()
-		n.xstats.OneFrame++
-		n.xstats.BytesSent += int64(len(snap))
-		n.xmu.Unlock()
-		return true
-	}
 	// Round 2 always covers: a session planned now freezes against the
 	// shard's maxVer, which the stamp already advanced past ver. The
 	// coverage check reads the session's maxVer AFTER the pump, because
 	// the plan (and therefore the freeze) happens inside the first pump.
 	for round := 0; round < 2; round++ {
 		n.mu.RLock()
-		n.startTransferLocked(p, target, true)
+		sess := n.startTransferLocked(p, target, true)
 		n.mu.RUnlock()
-		n.xmu.Lock()
-		var sess *xferSession
-		for _, s := range n.xfers {
-			if s.p == p && s.target == target {
-				sess = s
-				break
-			}
-		}
-		n.xmu.Unlock()
-		if sess == nil {
-			return false
-		}
 		if !n.pumpSession(sess) {
 			return false
 		}
@@ -356,20 +332,8 @@ func (n *Node) shipPartition(p, target int, ver uint64) bool {
 //lint:requires-unlocked n.mu
 func (n *Node) TransferPartition(p, target int) bool {
 	n.mu.RLock()
-	n.startTransferLocked(p, target, true)
+	sess := n.startTransferLocked(p, target, true)
 	n.mu.RUnlock()
-	n.xmu.Lock()
-	var sess *xferSession
-	for _, s := range n.xfers {
-		if s.p == p && s.target == target {
-			sess = s
-			break
-		}
-	}
-	n.xmu.Unlock()
-	if sess == nil {
-		return false
-	}
 	return n.pumpSession(sess)
 }
 
@@ -638,7 +602,7 @@ func (n *Node) handleXferChunk(req *transport.Message) (*transport.Message, erro
 	if req.Cursor > 1<<32-1 {
 		return nil, fmt.Errorf("node %d: transfer chunk index %d overflows uint32", n.cfg.ID, req.Cursor)
 	}
-	entries, err := decodeSnapshot(req.Value)
+	entries, err := decodeEntries(req.Value)
 	if err != nil {
 		return nil, err
 	}

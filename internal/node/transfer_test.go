@@ -10,7 +10,6 @@ import (
 func transferTestConfig() Config {
 	cfg := testConfig()
 	cfg.TransferChunkEntries = 1
-	cfg.SnapshotOneFrameBytes = 1
 	return cfg
 }
 

@@ -27,9 +27,9 @@ const (
 	// needs a full snapshot first. Quorum reads also reuse it to push
 	// the winning version to stale holders (read-repair).
 	KindSync uint8 = 3
-	// KindStore transfers a whole partition snapshot to a new replica
-	// holder (replication and migration both ship data this way).
-	KindStore uint8 = 4
+	// Kind 4 is unassigned: it carried the retired one-frame partition
+	// snapshot, and no other kind is renumbered into its place.
+
 	// KindDrop tells a holder to discard its copy of a partition
 	// (migration victim, suicide).
 	KindDrop uint8 = 5
@@ -117,7 +117,6 @@ var KindNames = map[uint8]string{
 	KindGet:        "get",
 	KindPut:        "put",
 	KindSync:       "sync",
-	KindStore:      "store",
 	KindDrop:       "drop",
 	KindStats:      "stats",
 	KindPing:       "ping",
@@ -313,16 +312,9 @@ type kvEntry struct {
 	val []byte
 }
 
-// appendSnapshot encodes one partition's versioned key/value data for
-// a KindStore transfer. Keys are emitted in ascending order so the
-// encoding is deterministic regardless of map iteration order.
-func appendSnapshot(dst []byte, data map[string]entry) []byte {
-	return appendEntries(dst, sortedEntries(data))
-}
-
 // sortedEntries flattens a partition map into ascending key order —
-// the canonical form both one-frame snapshots and chunked transfer
-// sessions slice from.
+// the canonical form transfer sessions slice their chunks from, so the
+// encoding is deterministic regardless of map iteration order.
 func sortedEntries(data map[string]entry) []kvEntry {
 	keys := make([]string, 0, len(data))
 	for k := range data {
@@ -337,8 +329,8 @@ func sortedEntries(data map[string]entry) []kvEntry {
 	return entries
 }
 
-// appendEntries encodes an entry block (a whole snapshot or one
-// transfer chunk). decodeSnapshot is the inverse.
+// appendEntries encodes an entry block (one transfer chunk, an AE
+// repair or fetch payload). decodeEntries is the inverse.
 func appendEntries(dst []byte, entries []kvEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
@@ -400,11 +392,11 @@ func decodeXferBegin(buf []byte) (total uint32, markResident bool, err error) {
 	return uint32(t), r.buf[0] == 1, nil
 }
 
-// decodeSnapshot parses a KindStore payload into a key-ordered entry
+// decodeEntries parses an entry block into a key-ordered entry
 // slice. A slice (not a map) so callers can merge it with a plain
 // deterministic loop — map iteration order is banned by the
 // determinism lint.
-func decodeSnapshot(buf []byte) ([]kvEntry, error) {
+func decodeEntries(buf []byte) ([]kvEntry, error) {
 	r := &uvarintReader{buf: buf}
 	n := r.nextInt(len(buf)) // an entry costs ≥3 bytes, so len(buf) bounds the count
 	entries := make([]kvEntry, 0, n)
@@ -494,19 +486,6 @@ func decodeAEDigest(buf []byte) (leaves []uint64, root uint64, err error) {
 		return nil, 0, fmt.Errorf("node: %d trailing bytes after AE digest", len(r.buf))
 	}
 	return leaves, root, nil
-}
-
-// appendAEDiff encodes the flat digest-reply shape of single-level
-// anti-entropy: the divergent bucket indexes, then the replier's
-// entries for those buckets as a standard entry block. The live
-// protocol never ships it; the repair bench suite prices its length as
-// the baseline the hierarchical exchange is measured against.
-func appendAEDiff(dst []byte, buckets []int, entries []kvEntry) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
-	for _, b := range buckets {
-		dst = binary.AppendUvarint(dst, uint64(b))
-	}
-	return appendEntries(dst, entries)
 }
 
 // appendXferInfo encodes a transfer-info blob, carried in the Value of

@@ -64,8 +64,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"beta":  {val: []byte{}, ver: 0},
 		"gamma": {val: bytes.Repeat([]byte("x"), 300), ver: 9<<20 | 3},
 	}
-	enc := appendSnapshot(nil, in)
-	out, err := decodeSnapshot(enc)
+	enc := appendEntries(nil, sortedEntries(in))
+	out, err := decodeEntries(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,20 +92,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotEncodingIsCanonical(t *testing.T) {
 	a := map[string]entry{"k1": {val: []byte("v1"), ver: 1}, "k2": {val: []byte("v2"), ver: 2}, "k3": {val: []byte("v3"), ver: 3}}
 	b := map[string]entry{"k3": {val: []byte("v3"), ver: 3}, "k1": {val: []byte("v1"), ver: 1}, "k2": {val: []byte("v2"), ver: 2}}
-	if !bytes.Equal(appendSnapshot(nil, a), appendSnapshot(nil, b)) {
+	if !bytes.Equal(appendEntries(nil, sortedEntries(a)), appendEntries(nil, sortedEntries(b))) {
 		t.Fatal("snapshot encoding depends on construction order")
 	}
 }
 
 func TestDecodeSnapshotRejectsCorrupt(t *testing.T) {
-	good := appendSnapshot(nil, map[string]entry{"key": {val: []byte("value"), ver: 5}})
+	good := appendEntries(nil, sortedEntries(map[string]entry{"key": {val: []byte("value"), ver: 5}}))
 	cases := map[string][]byte{
 		"truncated": good[:len(good)-2],
 		"trailing":  append(append([]byte{}, good...), 0),
 		"bomb":      {0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 	}
 	for name, buf := range cases {
-		if _, err := decodeSnapshot(buf); err == nil {
+		if _, err := decodeEntries(buf); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
 		}
 	}
